@@ -16,6 +16,7 @@ import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,12 +30,11 @@ from .cell import (
     sweep_curves,
     sweep_deviation,
 )
-from .dog import IntensityImage, dog, make_gaussian_kernel
+from .dog import IntensityImage, make_gaussian_kernel
 from .errors import (
     ConfigurationError,
     DimensionError,
     FormatError,
-    InternalError,
     InvalidGainError,
     InvalidParameterError,
     UnachievableGainError,
@@ -49,13 +49,14 @@ from .imageio import (
     read_pgm,
     write_pgm,
 )
-from .perf import PIXELS_FULL, PIXELS_VALID, PerfSpec, energy, power, realtime_check, runtime
+from .perf import PIXELS_FULL, PIXELS_VALID, PerfSpec, perf_figures
 from .pipeline import (
     DIST_LOGNORMAL,
     DIST_TRUNCNORM,
     AdcSpec,
     AnalogConfig,
     VariationModel,
+    block_perf_spec,
     monte_carlo,
     run_dog_pipeline,
 )
@@ -68,79 +69,78 @@ EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
 
-def _bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(f"not a boolean: {text!r}")
+class Setting(NamedTuple):
+    """One row of the settings table: it makes the command-line option
+    (--name-with-dashes), the config-file key and the built-in default."""
+
+    name: str
+    kind: object  # int, float, str, bool (a flag), or a tuple of choices
+    default: object
+    group: str | None  # option group in --help; None: the general options
+    help: str | None = None
 
 
-DEFAULTS = {
-    "input": "pattern:step",
-    "index": 0,
-    "threshold": 0.5,
-    "no_binarize": False,
-    "sigma1": 0.85,
-    "sigma_ratio": math.sqrt(2.0),
-    "half_width": 1,
-    "gamma": 1.0,
-    "i_in": 100e-9,
-    "model": MODEL_IDEAL,
-    "steepness": 10.0,
-    "half_separation": 0.4,
-    "calibrate": None,
-    "variation_gamma": 0.0,
-    "variation_gain": 0.0,
-    "variation_sensor": 0.0,
-    "distribution": DIST_TRUNCNORM,
-    "bits": 8,
-    "vref": None,
-    "adc_bypass": False,
-    "transimpedance": 10e6,
-    "settle_time": 0.5e-6,
-    "supply": 3.3,
-    "parallelism": 1,
-    "pixel_mode": PIXELS_FULL,
-    "adc_separate": False,
-    "seed": 0,
-    "out_dir": "out",
-}
+SETTINGS = {row.name: row for row in (
+    Setting("input", str, "pattern:step", "input",
+            f"IDX file, PGM file, or pattern:NAME (patterns: {', '.join(PATTERN_NAMES)})"),
+    Setting("index", int, 0, "input", "image index within an IDX file"),
+    Setting("threshold", float, 0.5, "input", "binarization threshold in [0,1]"),
+    Setting("no_binarize", bool, False, "input",
+            "feed grayscale intensities instead of binary pixels"),
+    Setting("sigma1", float, 0.85, "kernels", "narrow Gaussian scale"),
+    Setting("sigma_ratio", float, math.sqrt(2.0), "kernels", "sigma2/sigma1 (> 1)"),
+    Setting("half_width", int, 1, "kernels", "kernel half-width P"),
+    Setting("gamma", float, 1.0, "cell model", "cell curvature constant (1/V^2)"),
+    Setting("i_in", float, 100e-9, "cell model", "nominal input current (A)"),
+    Setting("model", (MODEL_IDEAL, MODEL_SIGMOID), MODEL_IDEAL, "cell model"),
+    Setting("steepness", float, 10.0, "cell model", "sigmoid-product logistic slope (1/V)"),
+    Setting("half_separation", float, 0.4, "cell model",
+            "sigmoid-product half-separation (V)"),
+    Setting("calibrate", str, None, "cell model", "fit gamma from a (dv, i_out) sweep file"),
+    Setting("variation_gamma", float, 0.0, "process variation",
+            "relative sigma of per-cell gamma"),
+    Setting("variation_gain", float, 0.0, "process variation",
+            "relative sigma of per-cell gain"),
+    Setting("variation_sensor", float, 0.0, "process variation",
+            "relative sigma of per-pixel sensors"),
+    Setting("distribution", (DIST_TRUNCNORM, DIST_LOGNORMAL), DIST_TRUNCNORM,
+            "process variation"),
+    Setting("bits", int, 8, "analog chain", "ADC resolution"),
+    Setting("vref", float, None, "analog chain", "ADC full scale (V); default auto"),
+    Setting("adc_bypass", bool, False, "analog chain",
+            "skip quantization (infinite-resolution mode)"),
+    Setting("transimpedance", float, 10e6, "analog chain", "current-to-voltage gain (ohm)"),
+    Setting("settle_time", float, 0.5e-6, "analog chain", "per-pixel settling time (s)"),
+    Setting("supply", float, 3.3, "performance accounting", "supply voltage (V)"),
+    Setting("parallelism", int, 1, "performance accounting", "concurrent filter blocks"),
+    Setting("pixel_mode", (PIXELS_FULL, PIXELS_VALID), PIXELS_FULL, "performance accounting"),
+    Setting("adc_separate", bool, False, "performance accounting",
+            "bill ADC conversions on top of settling"),
+    Setting("seed", int, 0, None, "RNG seed"),
+    Setting("out_dir", str, "out", None, "artifact directory"),
+)}
 
-_CONVERTERS = {
-    "input": str,
-    "index": int,
-    "threshold": float,
-    "no_binarize": _bool,
-    "sigma1": float,
-    "sigma_ratio": float,
-    "half_width": int,
-    "gamma": float,
-    "i_in": float,
-    "model": str,
-    "steepness": float,
-    "half_separation": float,
-    "calibrate": str,
-    "variation_gamma": float,
-    "variation_gain": float,
-    "variation_sensor": float,
-    "distribution": str,
-    "bits": int,
-    "vref": float,
-    "adc_bypass": _bool,
-    "transimpedance": float,
-    "settle_time": float,
-    "supply": float,
-    "parallelism": int,
-    "pixel_mode": str,
-    "adc_separate": _bool,
-    "seed": int,
-    "out_dir": str,
-}
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
+def _convert(setting: Setting, text: str):
+    """A config-file value as the setting's type; ValueError if malformed."""
+    kind = setting.kind
+    if kind is bool:
+        if text.lower() not in _TRUE + _FALSE:
+            raise ValueError(f"expected one of {', '.join(_TRUE + _FALSE)}")
+        return text.lower() in _TRUE
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValueError(f"expected one of {', '.join(kind)}")
+        return text
+    return kind(text)
 
 
 def parse_config_file(path) -> dict:
+    """Flat ``key = value`` lines; keys are the long option names, with
+    '-' or '_'.  Values are converted to each setting's type."""
     entries = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -151,24 +151,24 @@ def parse_config_file(path) -> dict:
             key = key.strip().replace("-", "_")
             if not sep or not key:
                 raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            if key not in DEFAULTS:
+            if key not in SETTINGS:
                 raise ConfigurationError(f"{path}:{lineno}: unknown setting {key!r}")
-            entries[key] = value.strip()
+            try:
+                entries[key] = _convert(SETTINGS[key], value.strip())
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: bad value for {key!r}: {value.strip()!r} ({exc})"
+                ) from None
     return entries
 
 
 def resolve_settings(args) -> dict:
     """Merge CLI args over config-file entries over defaults."""
-    filecfg = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    filecfg = parse_config_file(args.config) if args.config else {}
     settings = {}
-    for key, default in DEFAULTS.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            settings[key] = cli_value
-        elif key in filecfg:
-            settings[key] = _CONVERTERS[key](filecfg[key])
-        else:
-            settings[key] = default
+    for name, setting in SETTINGS.items():
+        cli_value = getattr(args, name)
+        settings[name] = cli_value if cli_value is not None else filecfg.get(name, setting.default)
     if not 0.0 <= settings["threshold"] <= 1.0:
         raise ConfigurationError("threshold must be in [0, 1]")
     if settings["sigma_ratio"] <= 1.0:
@@ -180,44 +180,18 @@ def _add_common_options(p: argparse.ArgumentParser) -> None:
     # Defaults are all None so the config-file layer can tell "not given on
     # the command line" apart from an explicit value.
     p.add_argument("--config", help="flat key=value settings file")
-    g = p.add_argument_group("input")
-    g.add_argument("--input", help="IDX file, PGM file, or pattern:NAME "
-                   f"(patterns: {', '.join(PATTERN_NAMES)})")
-    g.add_argument("--index", type=int, help="image index within an IDX file")
-    g.add_argument("--threshold", type=float, help="binarization threshold in [0,1]")
-    g.add_argument("--no-binarize", action="store_const", const=True, default=None,
-                   help="feed grayscale intensities instead of binary pixels")
-    g = p.add_argument_group("kernels")
-    g.add_argument("--sigma1", type=float, help="narrow Gaussian scale")
-    g.add_argument("--sigma-ratio", type=float, help="sigma2/sigma1 (> 1)")
-    g.add_argument("--half-width", type=int, help="kernel half-width P")
-    g = p.add_argument_group("cell model")
-    g.add_argument("--gamma", type=float, help="cell curvature constant (1/V^2)")
-    g.add_argument("--i-in", type=float, help="nominal input current (A)")
-    g.add_argument("--model", choices=[MODEL_IDEAL, MODEL_SIGMOID])
-    g.add_argument("--steepness", type=float, help="sigmoid-product logistic slope (1/V)")
-    g.add_argument("--half-separation", type=float, help="sigmoid-product half-separation (V)")
-    g.add_argument("--calibrate", help="fit gamma from a (dv, i_out) sweep file")
-    g = p.add_argument_group("process variation")
-    g.add_argument("--variation-gamma", type=float, help="relative sigma of per-cell gamma")
-    g.add_argument("--variation-gain", type=float, help="relative sigma of per-cell gain")
-    g.add_argument("--variation-sensor", type=float, help="relative sigma of per-pixel sensors")
-    g.add_argument("--distribution", choices=[DIST_TRUNCNORM, DIST_LOGNORMAL])
-    g = p.add_argument_group("analog chain")
-    g.add_argument("--bits", type=int, help="ADC resolution")
-    g.add_argument("--vref", type=float, help="ADC full scale (V); default auto")
-    g.add_argument("--adc-bypass", action="store_const", const=True, default=None,
-                   help="skip quantization (infinite-resolution mode)")
-    g.add_argument("--transimpedance", type=float, help="current-to-voltage gain (ohm)")
-    g.add_argument("--settle-time", type=float, help="per-pixel settling time (s)")
-    g = p.add_argument_group("performance accounting")
-    g.add_argument("--supply", type=float, help="supply voltage (V)")
-    g.add_argument("--parallelism", type=int, help="concurrent filter blocks")
-    g.add_argument("--pixel-mode", choices=[PIXELS_FULL, PIXELS_VALID])
-    g.add_argument("--adc-separate", action="store_const", const=True, default=None,
-                   help="bill ADC conversions on top of settling")
-    p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--out-dir", help="artifact directory")
+    groups = {None: p}
+    for setting in SETTINGS.values():
+        if setting.group not in groups:
+            groups[setting.group] = p.add_argument_group(setting.group)
+        if setting.kind is bool:
+            kind = {"action": "store_const", "const": True}
+        elif isinstance(setting.kind, tuple):
+            kind = {"choices": setting.kind}
+        else:
+            kind = {"type": setting.kind}
+        groups[setting.group].add_argument("--" + setting.name.replace("_", "-"),
+                                           help=setting.help, **kind)
 
 
 def build_cell_params(s: dict) -> CellParams:
@@ -248,18 +222,10 @@ def build_analog_config(s: dict) -> AnalogConfig:
     )
 
 
-def build_perf_spec(s: dict) -> PerfSpec:
-    side = 2 * s["half_width"] + 1
-    return PerfSpec(
-        supply_v=s["supply"],
-        node_current=s["i_in"],
-        node_count=side * side,
-        settle_time=s["settle_time"],
-        parallelism=s["parallelism"],
-        pixel_count_mode=s["pixel_mode"],
-        half_width=s["half_width"],
-        adc_separate=s["adc_separate"],
-    )
+def build_perf_spec(s: dict, adc: AdcSpec = AdcSpec()) -> PerfSpec:
+    return block_perf_spec(s["half_width"], s["i_in"], s["settle_time"], adc,
+                           supply_v=s["supply"], parallelism=s["parallelism"],
+                           pixel_count_mode=s["pixel_mode"], adc_separate=s["adc_separate"])
 
 
 def build_kernels(s: dict):
@@ -283,23 +249,25 @@ def load_input(s: dict) -> IntensityImage:
     return image
 
 
-def _settings_echo(s: dict) -> dict:
-    return {k: v for k, v in s.items()}
+def output_dir(s: dict) -> Path:
+    out = Path(s["out_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
-def write_json(path: Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def _report_skeleton(s: dict) -> dict:
-    return {
+def write_json(path: Path, s: dict, **sections) -> None:
+    """Write a report: the header every subcommand shares (schema and tool
+    version, timestamp, resolved settings) followed by ``sections``."""
+    doc = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "config": _settings_echo(s),
+        "config": s,
+        **sections,
     }
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def cmd_run(args) -> int:
@@ -308,15 +276,9 @@ def cmd_run(args) -> int:
     k1, k2 = build_kernels(s)
     cfg = build_analog_config(s)
     codes, report = run_dog_pipeline(image, k1, k2, cfg, seed=s["seed"],
-                                     perf_spec=build_perf_spec(s))
-    oracle = dog(image, k1, k2)
-    oracle_codes = oracle.values * (
-        min(report.scale_1, report.scale_2) * s["i_in"] * s["transimpedance"]
-        / report.vref * (2 ** s["bits"] - 1)
-    )
+                                     perf_spec=build_perf_spec(s, cfg.adc))
 
-    out = Path(s["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(s)
     artifacts = {
         "input": str(out / "input.pgm"),
         "oracle_dog": str(out / "oracle_dog.pgm"),
@@ -324,13 +286,9 @@ def cmd_run(args) -> int:
         "report": str(out / "report.json"),
     }
     write_pgm(artifacts["input"], intensity_to_gray(image))
-    write_pgm(artifacts["oracle_dog"], codes_to_gray(np.rint(oracle_codes), s["bits"]))
+    write_pgm(artifacts["oracle_dog"], codes_to_gray(np.rint(codes.oracle), s["bits"]))
     write_pgm(artifacts["analog_dog"], codes_to_gray(codes.codes, s["bits"]))
-
-    doc = _report_skeleton(s)
-    doc["sim_report"] = report.to_dict()
-    doc["artifacts"] = artifacts
-    write_json(Path(artifacts["report"]), doc)
+    write_json(Path(artifacts["report"]), s, sim_report=report.to_dict(), artifacts=artifacts)
 
     print(f"power      {report.power_w * 1e6:.6g} uW")
     print(f"runtime    {report.runtime_s * 1e6:.6g} us per convolution")
@@ -341,17 +299,23 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def parse_levels(text: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(f"--levels: expected comma-separated numbers, got {text!r}") from None
+
+
 def cmd_montecarlo(args) -> int:
     s = resolve_settings(args)
     if args.trials < 1:
         raise ConfigurationError("need at least one trial")
-    levels = [float(x) for x in args.levels.split(",")] if args.levels else [s["variation_gamma"]]
+    levels = parse_levels(args.levels) if args.levels else [s["variation_gamma"]]
     image = load_input(s)
     k1, k2 = build_kernels(s)
-    perf_spec = build_perf_spec(s)
+    build_perf_spec(s)  # validates the accounting settings; the sweep reports no perf figures
 
-    out = Path(s["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(s)
     csv_path = out / "montecarlo.csv"
     rows = []
     aggregates = []
@@ -375,12 +339,8 @@ def cmd_montecarlo(args) -> int:
         writer.writerow(["level", "trial", "seed", "mean_abs_error_code", "flip_rate"])
         writer.writerows(rows)
 
-    doc = _report_skeleton(s)
-    doc["sweep_param"] = args.sweep_param
-    doc["trials"] = args.trials
-    doc["levels"] = aggregates
-    doc["artifacts"] = {"csv": str(csv_path)}
-    write_json(out / "montecarlo.json", doc)
+    write_json(out / "montecarlo.json", s, sweep_param=args.sweep_param, trials=args.trials,
+               levels=aggregates, artifacts={"csv": str(csv_path)})
     for agg in aggregates:
         print(f"level {agg['level']:g}: MAE {agg['mean_mae']:.4f} +- {agg['std_mae']:.4f}, "
               f"flip rate {agg['mean_flip_rate']:.4f}")
@@ -394,8 +354,7 @@ def cmd_deviation(args) -> int:
     dv, i_out, ref = sweep_curves(params, args.sweep_lo, args.sweep_hi, args.points,
                                   args.reference)
 
-    out = Path(s["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(s)
     csv_path = out / "deviation.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
@@ -403,8 +362,7 @@ def cmd_deviation(args) -> int:
         for row in zip(dv, i_out, ref, np.abs(i_out - ref)):
             writer.writerow([f"{x:.12e}" for x in row])
 
-    doc = _report_skeleton(s)
-    doc["deviation"] = {
+    write_json(out / "deviation.json", s, deviation={
         "sweep_lo_v": report.sweep_lo,
         "sweep_hi_v": report.sweep_hi,
         "n_points": report.n_points,
@@ -412,9 +370,7 @@ def cmd_deviation(args) -> int:
         "avg_abs_deviation_a": report.avg_abs_deviation,
         "max_abs_deviation_a": report.max_abs_deviation,
         "extrapolated": report.extrapolated,
-    }
-    doc["artifacts"] = {"csv": str(csv_path)}
-    write_json(out / "deviation.json", doc)
+    }, artifacts={"csv": str(csv_path)})
 
     print(f"average deviation {report.avg_abs_deviation * 1e9:.4f} nA")
     print(f"max deviation     {report.max_abs_deviation * 1e9:.4f} nA")
@@ -427,33 +383,17 @@ def cmd_perf(args) -> int:
     s = resolve_settings(args)
     if args.width < 1 or args.height < 1:
         raise ConfigurationError("image dimensions must be positive")
-    spec = build_perf_spec(s)
-    p = power(spec)
-    t = runtime(args.height, args.width, spec)
-    e = energy(args.height, args.width, spec)
-    rt = realtime_check(t)
+    fig = perf_figures(args.height, args.width, build_perf_spec(s))
 
-    print(f"{'power':<22}{p * 1e6:.6g} uW")
-    print(f"{'runtime/convolution':<22}{t * 1e6:.6g} us")
-    print(f"{'energy/convolution':<22}{e * 1e9:.6g} nJ")
-    print(f"{'full-DoG runtime':<22}{2 * t * 1e6:.6g} us (2x extrapolation)")
-    print(f"{'full-DoG energy':<22}{2 * e * 1e9:.6g} nJ (2x extrapolation)")
-    print(f"{'realtime (< 42 ms)':<22}{rt}")
+    print(f"{'power':<22}{fig['power_w'] * 1e6:.6g} uW")
+    print(f"{'runtime/convolution':<22}{fig['runtime_s'] * 1e6:.6g} us")
+    print(f"{'energy/convolution':<22}{fig['energy_j'] * 1e9:.6g} nJ")
+    print(f"{'full-DoG runtime':<22}{fig['dog_runtime_s'] * 1e6:.6g} us (2x extrapolation)")
+    print(f"{'full-DoG energy':<22}{fig['dog_energy_j'] * 1e9:.6g} nJ (2x extrapolation)")
+    print(f"{'realtime (< 42 ms)':<22}{fig['realtime']}")
 
-    out = Path(s["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    doc = _report_skeleton(s)
-    doc["perf"] = {
-        "width": args.width,
-        "height": args.height,
-        "power_w": p,
-        "runtime_s": t,
-        "energy_j": e,
-        "dog_runtime_s": 2 * t,
-        "dog_energy_j": 2 * e,
-        "realtime": rt,
-    }
-    write_json(out / "perf.json", doc)
+    write_json(output_dir(s) / "perf.json", s,
+               perf={"width": args.width, "height": args.height, **fig})
     return EXIT_OK
 
 
@@ -500,7 +440,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, FileNotFoundError, IsADirectoryError, PermissionError, OSError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"flexdog: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (

@@ -77,14 +77,6 @@ class FilteredImage:
     values: np.ndarray
     sigma: float
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class DogImage:
@@ -93,14 +85,6 @@ class DogImage:
     values: np.ndarray
     sigma1: float
     sigma2: float
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -160,18 +144,6 @@ def convolve_valid(image: IntensityImage, kernel: GaussianKernel) -> FilteredIma
     kernel is centrally symmetric (asserted by tests, not at runtime).
     """
     values = correlate_valid(image.pixels, kernel.weights)
-    return FilteredImage(values=values, sigma=kernel.sigma)
-
-
-def convolve_zero_pad(image: IntensityImage, kernel: GaussianKernel) -> FilteredImage:
-    """Same-size zero-padded variant, for visualization only.
-
-    Excluded from all oracle comparisons: the op-count model and the analog
-    array both assume valid mode.
-    """
-    p = kernel.half_width
-    padded = np.pad(image.pixels, p, mode="constant")
-    values = correlate_valid(padded, kernel.weights)
     return FilteredImage(values=values, sigma=kernel.sigma)
 
 

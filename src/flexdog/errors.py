@@ -23,7 +23,3 @@ class UnachievableGainError(ValueError):
 
 class FormatError(ValueError):
     """A binary input file (IDX, PGM) is malformed."""
-
-
-class InternalError(RuntimeError):
-    """An internal invariant was violated; indicates a bug, not bad input."""

@@ -34,17 +34,6 @@ def load_idx_image(path, index: int = 0) -> IntensityImage:
     return IntensityImage(pixels=pixels.astype(np.float64) / 255.0)
 
 
-def idx_image_count(path) -> int:
-    with open(path, "rb") as f:
-        header = f.read(8)
-    if len(header) < 8:
-        raise FormatError(f"{path}: truncated IDX header")
-    magic, count = struct.unpack(">ii", header)
-    if magic != IDX_IMAGE_MAGIC:
-        raise FormatError(f"{path}: bad IDX magic {magic}")
-    return count
-
-
 def _read_pgm_token(data: bytes, pos: int) -> tuple[bytes, int]:
     # skip whitespace and '#' comment lines
     n = len(data)
@@ -106,16 +95,6 @@ def codes_to_gray(codes: np.ndarray, bits: int = 8) -> np.ndarray:
     clipped."""
     full = float(2**bits - 1)
     gray = np.rint(128.0 + np.asarray(codes, dtype=np.float64) / full * 127.0)
-    return np.clip(gray, 0, 255).astype(np.uint8)
-
-
-def values_to_gray(values: np.ndarray) -> np.ndarray:
-    """Signed real grid to grayscale, symmetric around mid-gray 128."""
-    values = np.asarray(values, dtype=np.float64)
-    span = float(np.max(np.abs(values)))
-    if span == 0.0:
-        return np.full(values.shape, 128, dtype=np.uint8)
-    gray = np.rint(128.0 + values / span * 127.0)
     return np.clip(gray, 0, 255).astype(np.uint8)
 
 

@@ -108,16 +108,14 @@ class SimReport:
         return asdict(self)
 
 
-def build_report(m: int, n: int, spec: PerfSpec, **metrics) -> SimReport:
+def perf_figures(m: int, n: int, spec: PerfSpec) -> dict:
+    """Power, per-convolution runtime and energy, their 2x full-DoG
+    extrapolation and the real-time verdict, keyed as in SimReport."""
     p = power(spec)
     t = runtime(m, n, spec)
-    return SimReport(
-        power_w=p,
-        runtime_s=t,
-        energy_j=p * t,
-        dog_runtime_s=2.0 * t,
-        dog_energy_j=2.0 * p * t,
-        realtime=realtime_check(t),
-        pixel_count_mode=spec.pixel_count_mode,
-        **metrics,
-    )
+    return dict(power_w=p, runtime_s=t, energy_j=p * t, dog_runtime_s=2.0 * t,
+                dog_energy_j=2.0 * p * t, realtime=realtime_check(t))
+
+
+def build_report(m: int, n: int, spec: PerfSpec, **metrics) -> SimReport:
+    return SimReport(**perf_figures(m, n, spec), pixel_count_mode=spec.pixel_count_mode, **metrics)

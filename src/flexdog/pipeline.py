@@ -106,28 +106,14 @@ class CurrentFrame:
         if np.any(currents < 0):
             raise InvalidParameterError("currents must be nonnegative")
 
-    @property
-    def height(self) -> int:
-        return self.currents.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.currents.shape[1]
-
 
 @dataclass(frozen=True)
 class CodeFrame:
-    """ADC codes; signed after digital subtraction, float in bypass mode."""
+    """ADC codes; signed after digital subtraction, float in bypass mode.
+    ``oracle`` is the digital DoG oracle in the same code units (float)."""
 
     codes: np.ndarray
-
-    @property
-    def height(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.codes.shape[1]
+    oracle: np.ndarray
 
 
 def _multipliers(rng, sigma, shape, distribution):
@@ -225,6 +211,15 @@ def default_vref(pk_wide: ProgrammedKernel, i_in_nominal: float, transimpedance:
     return pk_wide.gain_sum * i_in_nominal * transimpedance
 
 
+def block_perf_spec(half_width: int, i_in: float, settle_time: float,
+                    adc: AdcSpec = AdcSpec(), **accounting) -> PerfSpec:
+    """PerfSpec of one (2P+1)^2 filter block; ``accounting`` sets the other
+    fields (supply, parallelism, pixel mode, ADC billing)."""
+    return PerfSpec(node_current=i_in, node_count=(2 * half_width + 1) ** 2,
+                    settle_time=settle_time, adc_time=adc.t_conv, half_width=half_width,
+                    **accounting)
+
+
 def edge_map(codes: np.ndarray, threshold: float = EDGE_THRESHOLD_CODES) -> np.ndarray:
     return np.abs(np.asarray(codes, dtype=np.float64)) >= threshold
 
@@ -296,13 +291,7 @@ def run_dog_pipeline(
     err = np.abs(np.asarray(diff, dtype=np.float64) - oracle_codes)
 
     if perf_spec is None:
-        perf_spec = PerfSpec(
-            node_current=i_in,
-            node_count=k1.side**2,
-            settle_time=cfg.settle_time,
-            adc_time=adc.t_conv,
-            half_width=k1.half_width,
-        )
+        perf_spec = block_perf_spec(k1.half_width, i_in, cfg.settle_time, adc)
     report = build_report(
         image.height,
         image.width,
@@ -317,7 +306,7 @@ def run_dog_pipeline(
         vref=float(adc.vref),
         seed=seed,
     )
-    return CodeFrame(codes=diff), report
+    return CodeFrame(codes=diff, oracle=oracle_codes), report
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,14 @@ class TestRun:
         cfg.write_text("sigma9 = 1.0\n")
         assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
 
+    def test_malformed_config_value_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("sigma1 = 1.0\nseed = abc\n")
+        assert run_cli("run", "--config", str(cfg),
+                       "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{cfg}:2" in err and "'seed'" in err
+
     def test_bad_sigma_ratio_is_config_error(self):
         assert run_cli("run", "--input", "pattern:step", "--sigma-ratio", "0.5") == EXIT_CONFIG
 
@@ -119,6 +127,11 @@ class TestMonteCarlo:
         doc = load_report(out, "montecarlo.json")
         maes = {lvl["level"]: lvl["mean_mae"] for lvl in doc["levels"]}
         assert maes[0.20] > maes[0.05]
+
+    def test_malformed_levels_is_config_error(self, tmp_path, capsys):
+        assert run_cli("montecarlo", "--input", "pattern:step", "--levels", "a,b",
+                       "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
+        assert "--levels" in capsys.readouterr().err
 
     def test_zero_trials_is_config_error(self, tmp_path):
         assert run_cli("montecarlo", "--input", "pattern:step", "--trials", "0",
@@ -184,6 +197,11 @@ class TestPerf:
         doc = load_report(out, "perf.json")
         assert doc["perf"]["runtime_s"] == pytest.approx(0.5, rel=1e-12)
         assert doc["perf"]["realtime"] is False
+
+    def test_cell_settings_not_read(self, tmp_path):
+        # the table needs no cell model, so a calibration file is never opened
+        assert run_cli("perf", "28", "28", "--calibrate", str(tmp_path / "missing.txt"),
+                       "--out-dir", str(tmp_path / "out")) == EXIT_OK
 
     def test_bad_dimensions(self, tmp_path):
         assert run_cli("perf", "0", "28", "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG

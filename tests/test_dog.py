@@ -8,7 +8,6 @@ from flexdog.dog import (
     GaussianKernel,
     IntensityImage,
     convolve_valid,
-    convolve_zero_pad,
     correlate_valid,
     dog,
     make_gaussian_kernel,
@@ -129,14 +128,6 @@ class TestConvolveValid:
         assert np.array_equal(
             correlate_valid(img, k.weights), correlate_valid(img, flipped)
         )
-
-    def test_zero_pad_mode_keeps_size(self):
-        img = IntensityImage(np.full((6, 6), 0.25))
-        k = make_gaussian_kernel(0.85, 1, normalize=True)
-        out = convolve_zero_pad(img, k)
-        assert out.values.shape == (6, 6)
-        # interior untouched by padding
-        assert np.allclose(out.values[1:-1, 1:-1], 0.25, atol=1e-12)
 
 
 class TestDog:

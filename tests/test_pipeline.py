@@ -4,6 +4,7 @@ import pytest
 from flexdog.cell import CellParams, program_kernel
 from flexdog.dog import GaussianKernel, IntensityImage, dog, make_gaussian_kernel
 from flexdog.errors import ConfigurationError, DimensionError, InvalidParameterError
+from flexdog.perf import runtime
 from flexdog.pipeline import (
     DIST_LOGNORMAL,
     AdcSpec,
@@ -11,6 +12,7 @@ from flexdog.pipeline import (
     CurrentFrame,
     VariationModel,
     analog_convolve,
+    block_perf_spec,
     draw_variation,
     edge_map,
     monte_carlo,
@@ -206,6 +208,27 @@ class TestRunDogPipeline:
         )
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(descale - oracle)) <= 1e-9 * scale
+
+    def test_oracle_codes_returned_with_frame(self):
+        rng = np.random.default_rng(13)
+        img = IntensityImage((rng.random((16, 16)) > 0.5).astype(float))
+        cfg = AnalogConfig(adc=AdcSpec(bits=6), variation=VariationModel(0.05, 0.05, 0.05))
+        codes, report = run_dog_pipeline(img, K1, K2, cfg, seed=2)
+        scale = (min(report.scale_1, report.scale_2) * cfg.cell_params.i_in_nominal
+                 * cfg.transimpedance / report.vref * cfg.adc.levels)
+        assert np.allclose(codes.oracle, dog(img, K1, K2).values * scale, rtol=1e-12, atol=0)
+        err = np.abs(codes.codes - codes.oracle)
+        assert report.mean_abs_error_code == err.mean()
+        assert report.max_abs_error_code == err.max()
+
+    def test_default_perf_spec_carries_adc_conversion_time(self):
+        img = IntensityImage(np.zeros((10, 10)))
+        adc = AdcSpec(t_conv=2e-6)
+        _, report = run_dog_pipeline(img, K1, K2, AnalogConfig(adc=adc), seed=0)
+        spec = block_perf_spec(1, 100e-9, 0.5e-6, adc)
+        assert spec.adc_time == 2e-6
+        assert spec.node_count == 9
+        assert report.runtime_s == runtime(10, 10, spec)
 
     def test_saturation_accounting(self):
         img = IntensityImage(np.ones((10, 10)))
