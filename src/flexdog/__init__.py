@@ -18,6 +18,7 @@ from .cell import (
     DeviationReport,
     ProgrammedKernel,
     SigmoidProductParams,
+    cell_factors,
     cell_response,
     fit_gamma_from_file,
     program_kernel,

@@ -89,19 +89,33 @@ def _logistic(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def cell_factors(dv, params: CellParams, gamma_mult=1.0):
+    """I_out / I_in of each cell as the two factors cell_response multiplies
+    I_in by, in that order; broadcast over dv and gamma_mult.
+
+    gamma_mult scales the ideal model's gamma; the sigmoid model has no gamma,
+    and its curvature near dV=0 scales with the squared slope, so there the
+    multiplier scales the steepness by sqrt(gamma_mult).
+    """
+    m = np.asarray(gamma_mult, dtype=np.float64)
+    if np.any(m <= 0):
+        raise InvalidParameterError(f"gamma multipliers must be positive, got {float(m.min())}")
+    dv = np.asarray(dv, dtype=np.float64)
+    if params.model_kind == MODEL_IDEAL:
+        return 0.5, np.exp(-(params.gamma * m) * dv * dv)
+    k = params.sigmoid.steepness * np.sqrt(m)
+    vw = params.sigmoid.half_separation
+    adv = np.abs(dv)  # the curve is even; |dv| keeps that exact in floats
+    return _logistic(k * (adv + vw)), _logistic(-k * (adv - vw))
+
+
 def cell_response(i_in, dv, params: CellParams):
     """Output current of one cell; vectorized over i_in and/or dv."""
     i_in = np.asarray(i_in, dtype=np.float64)
     if np.any(i_in < 0):
         raise InvalidParameterError("input current must be nonnegative")
-    dv = np.asarray(dv, dtype=np.float64)
-    if params.model_kind == MODEL_IDEAL:
-        out = (i_in / 2.0) * np.exp(-params.gamma * dv * dv)
-    else:
-        k = params.sigmoid.steepness
-        vw = params.sigmoid.half_separation
-        adv = np.abs(dv)  # the curve is even; |dv| keeps that exact in floats
-        out = i_in * _logistic(k * (adv + vw)) * _logistic(-k * (adv - vw))
+    a, b = cell_factors(dv, params)
+    out = i_in * a * b
     return out if out.ndim else float(out)
 
 
@@ -147,16 +161,16 @@ def sweep_deviation(
     cell's own gamma; "fitted-gaussian" compares against the least-squares
     best Gaussian over the sweep.  Deviations are absolute currents.
     """
-    if not lo < hi:
-        raise InvalidParameterError(f"degenerate sweep range [{lo}, {hi}]")
-    if n_points < 3:
-        raise InvalidParameterError("need at least 3 sweep points")
-    dv, i_out, ref = sweep_curves(params, lo, hi, n_points, reference)
+    return deviation_report(lo, hi, reference, *sweep_curves(params, lo, hi, n_points, reference))
+
+
+def deviation_report(lo, hi, reference, dv, i_out, ref) -> DeviationReport:
+    """DeviationReport of sweep_curves' (dv, i_out, ref) over [lo, hi]."""
     deviation = np.abs(i_out - ref)
     return DeviationReport(
         sweep_lo=lo,
         sweep_hi=hi,
-        n_points=n_points,
+        n_points=len(dv),
         avg_abs_deviation=float(deviation.mean()),
         max_abs_deviation=float(deviation.max()),
         reference=reference,
@@ -166,6 +180,10 @@ def sweep_deviation(
 
 def sweep_curves(params, lo, hi, n_points, reference="fitted-gaussian"):
     """Raw (dv, response, reference) arrays behind sweep_deviation."""
+    if not lo < hi:
+        raise InvalidParameterError(f"degenerate sweep range [{lo}, {hi}]")
+    if n_points < 3:
+        raise InvalidParameterError("need at least 3 sweep points")
     if reference not in ("fitted-gaussian", "eq4-gaussian"):
         raise InvalidParameterError(f"unknown deviation reference {reference!r}")
     dv = np.linspace(lo, hi, n_points)

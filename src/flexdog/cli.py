@@ -26,9 +26,9 @@ from .cell import (
     MODEL_SIGMOID,
     CellParams,
     SigmoidProductParams,
+    deviation_report,
     fit_gamma_from_file,
     sweep_curves,
-    sweep_deviation,
 )
 from .dog import IntensityImage, make_gaussian_kernel
 from .errors import (
@@ -310,7 +310,8 @@ def cmd_montecarlo(args) -> int:
     s = resolve_settings(args)
     if args.trials < 1:
         raise ConfigurationError("need at least one trial")
-    levels = parse_levels(args.levels) if args.levels else [s["variation_gamma"]]
+    sweep_key = f"variation_{args.sweep_param}"
+    levels = parse_levels(args.levels) if args.levels else [s[sweep_key]]
     image = load_input(s)
     k1, k2 = build_kernels(s)
     build_perf_spec(s)  # validates the accounting settings; the sweep reports no perf figures
@@ -321,7 +322,7 @@ def cmd_montecarlo(args) -> int:
     aggregates = []
     for level in levels:
         level_settings = dict(s)
-        level_settings[f"variation_{args.sweep_param}"] = level
+        level_settings[sweep_key] = level
         cfg = build_analog_config(level_settings)
         summary = monte_carlo(image, k1, k2, cfg, args.trials, s["seed"])
         for t in range(args.trials):
@@ -350,9 +351,9 @@ def cmd_montecarlo(args) -> int:
 def cmd_deviation(args) -> int:
     s = resolve_settings(args)
     params = build_cell_params(s)
-    report = sweep_deviation(params, args.sweep_lo, args.sweep_hi, args.points, args.reference)
     dv, i_out, ref = sweep_curves(params, args.sweep_lo, args.sweep_hi, args.points,
                                   args.reference)
+    report = deviation_report(args.sweep_lo, args.sweep_hi, args.reference, dv, i_out, ref)
 
     out = output_dir(s)
     csv_path = out / "deviation.csv"

@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .dog import GaussianKernel, IntensityImage, dog as reference_dog
-from .cell import (
-    MODEL_IDEAL,
-    CellParams,
-    ProgrammedKernel,
-    cell_response,
-    program_kernel,
-)
+from .cell import CellParams, ProgrammedKernel, cell_factors, program_kernel
+# Not called here; kept importable from this module because the benchmark's
+# tracer binds flexdog.pipeline.cell_response as a boundary.
+from .cell import cell_response  # noqa: F401
 from .errors import ConfigurationError, DimensionError, InvalidParameterError
 from .perf import PerfSpec, SimReport, build_report
 
@@ -33,6 +31,11 @@ TRUNCATION_SIGMAS = 4.0
 # |code| at or above this marks an edge pixel; 2 LSB sits above the
 # quantization noise floor.
 EDGE_THRESHOLD_CODES = 2.0
+
+# monte_carlo stacks max(1, MC_BATCH_PIXELS // (H * W)) trials per batch:
+# enough to share the per-call overhead at small frames, small enough that a
+# batch of large frames costs no more memory than one trial.
+MC_BATCH_PIXELS = 2**14
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,8 @@ class VariationModel:
 
 @dataclass(frozen=True)
 class VariationSample:
-    """One concrete draw of multiplicative device perturbations."""
+    """One concrete draw of multiplicative device perturbations; monte_carlo
+    stacks trials' draws along a leading axis."""
 
     seed: int
     gamma_mult: np.ndarray  # kernel-shaped
@@ -147,7 +151,7 @@ def draw_variation(
 
 def sense(image: IntensityImage, i_in_nominal: float, sample: VariationSample) -> CurrentFrame:
     """Photodetector stage: intensity -> current, with per-pixel mismatch."""
-    if sample.sensor_mult.shape != image.pixels.shape:
+    if sample.sensor_mult.shape[-2:] != image.pixels.shape:
         raise DimensionError(
             f"variation sample shape {sample.sensor_mult.shape} does not match "
             f"image shape {image.pixels.shape}"
@@ -155,32 +159,29 @@ def sense(image: IntensityImage, i_in_nominal: float, sample: VariationSample) -
     return CurrentFrame(currents=image.pixels * i_in_nominal * sample.sensor_mult)
 
 
-def _perturbed_cell(params: CellParams, gamma_mult: float) -> CellParams:
-    if params.model_kind == MODEL_IDEAL:
-        return replace(params, gamma=params.gamma * gamma_mult)
-    # sigmoid mode has no gamma; the curvature near dV=0 scales with the
-    # squared slope, so map the gamma multiplier onto the steepness
-    sig = replace(params.sigmoid, steepness=params.sigmoid.steepness * math.sqrt(gamma_mult))
-    return replace(params, sigmoid=sig)
-
-
 def analog_convolve(frame: CurrentFrame, pk: ProgrammedKernel, sample: VariationSample) -> CurrentFrame:
     """Kirchhoff summation of the per-cell output currents.
 
-    Accumulation is row-major over the cell grid so results are deterministic
-    regardless of how callers parallelize.
+    Frames may carry leading trial axes (..., H, W), with the sample's
+    multipliers shaped (..., kh, kw).  Accumulation is row-major over the cell
+    grid so results are deterministic regardless of how callers parallelize.
     """
     kh, kw = pk.dv_grid.shape
-    h, w = frame.currents.shape
+    currents = frame.currents
+    h, w = currents.shape[-2:]
     if h < kh or w < kw:
         raise DimensionError(f"frame {h}x{w} smaller than kernel {kh}x{kw}")
     oh, ow = h - kh + 1, w - kw + 1
-    out = np.zeros((oh, ow), dtype=np.float64)
+    a, b, g = np.broadcast_arrays(*cell_factors(pk.dv_grid, pk.params, sample.gamma_mult),
+                                  sample.gain_mult)
+    out = np.zeros((*currents.shape[:-2], oh, ow), dtype=np.float64)
+    tap = np.empty_like(out)  # one scratch buffer for every tap
     for i in range(kh):
         for j in range(kw):
-            params = _perturbed_cell(pk.params, float(sample.gamma_mult[i, j]))
-            resp = cell_response(frame.currents[i : i + oh, j : j + ow], pk.dv_grid[i, j], params)
-            out += sample.gain_mult[i, j] * resp
+            np.multiply(currents[..., i : i + oh, j : j + ow], a[..., i, j, None, None], out=tap)
+            np.multiply(tap, b[..., i, j, None, None], out=tap)
+            np.multiply(tap, g[..., i, j, None, None], out=tap)
+            out += tap
     return CurrentFrame(currents=out)
 
 
@@ -191,14 +192,13 @@ def to_voltage(frame: CurrentFrame, transimpedance: float) -> np.ndarray:
 
 
 def quantize(v: np.ndarray, adc: AdcSpec) -> np.ndarray:
-    """Mid-tread ADC transfer: round(v / vref * levels), half away from zero,
-    clamped to [0, levels].  Requires a concrete vref."""
+    """Mid-tread ADC transfer: round(v / vref * levels), half up, clamped to
+    [0, levels].  Requires a concrete vref."""
     if adc.vref is None:
         raise ConfigurationError("AdcSpec.vref unresolved; quantize needs a concrete vref")
     v = np.asarray(v, dtype=np.float64)
     x = v / adc.vref * adc.levels
-    codes = np.sign(x) * np.floor(np.abs(x) + 0.5)
-    return np.clip(codes, 0, adc.levels).astype(np.int64)
+    return np.clip(np.floor(x + 0.5), 0, adc.levels).astype(np.int64)
 
 
 def saturation_count(v: np.ndarray, vref: float) -> int:
@@ -224,6 +224,78 @@ def edge_map(codes: np.ndarray, threshold: float = EDGE_THRESHOLD_CODES) -> np.n
     return np.abs(np.asarray(codes, dtype=np.float64)) >= threshold
 
 
+class _Chain(NamedTuple):
+    """What every trial of one configuration shares."""
+
+    pk1: ProgrammedKernel
+    pk2: ProgrammedKernel
+    adc: AdcSpec  # vref resolved
+    comp1: float
+    comp2: float
+    oracle_codes: np.ndarray
+
+
+def _program_chain(image: IntensityImage, k1: GaussianKernel, k2: GaussianKernel,
+                   cfg: AnalogConfig) -> _Chain:
+    """Program both kernels, resolve vref and put the oracle DoG in code units.
+
+    Code streams from the two scales are rescaled to the smaller programming
+    scale before the signed subtraction; comp1 and comp2 are those factors.
+    """
+    if k1.half_width != k2.half_width:
+        raise ConfigurationError("kernel half_widths must match")
+    if k1.sigma >= k2.sigma:
+        raise ConfigurationError(f"need sigma1 < sigma2, got {k1.sigma} >= {k2.sigma}")
+    pk1 = program_kernel(k1, cfg.cell_params)
+    pk2 = program_kernel(k2, cfg.cell_params)
+    i_in = cfg.cell_params.i_in_nominal
+    adc = cfg.adc
+    if adc.vref is None:
+        wide = pk2 if pk2.gain_sum >= pk1.gain_sum else pk1
+        adc = replace(adc, vref=default_vref(wide, i_in, cfg.transimpedance))
+    s_ref = min(pk1.scale, pk2.scale)
+    oracle = reference_dog(image, k1, k2)
+    oracle_codes = oracle.values * (s_ref * i_in * cfg.transimpedance / adc.vref) * adc.levels
+    return _Chain(pk1, pk2, adc, s_ref / pk1.scale, s_ref / pk2.scale, oracle_codes)
+
+
+def _draw_samples(cfg: AnalogConfig, kernel_shape, image_shape, seed: int):
+    """The two scales' VariationSamples: one physical array, reprogrammed,
+    unless cfg.shared_array is off."""
+    sample1 = draw_variation(cfg.variation, kernel_shape, image_shape, seed)
+    if cfg.shared_array:
+        return sample1, sample1
+    seed2 = np.random.SeedSequence([seed, 1]).generate_state(1)[0]
+    return sample1, draw_variation(cfg.variation, kernel_shape, image_shape, int(seed2))
+
+
+def _analog_codes(image: IntensityImage, chain: _Chain, cfg: AnalogConfig,
+                  sample1: VariationSample, sample2: VariationSample):
+    """Sensor to signed code difference; samples may carry leading trial axes.
+    Returns the codes and both scales' voltages."""
+    frame = sense(image, cfg.cell_params.i_in_nominal, sample1)
+    c1 = analog_convolve(frame, chain.pk1, sample1)
+    c2 = analog_convolve(frame, chain.pk2, sample2)
+    if cfg.settling_error:
+        # first-order settling to within exp(-7) of final value
+        gain = 1.0 - math.exp(-cfg.settle_time / (cfg.settle_time / 7.0))
+        c1 = CurrentFrame(c1.currents * gain)
+        c2 = CurrentFrame(c2.currents * gain)
+
+    v1 = to_voltage(c1, cfg.transimpedance)
+    v2 = to_voltage(c2, cfg.transimpedance)
+    adc = chain.adc
+    if cfg.adc_bypass:
+        codes1 = v1 / adc.vref * adc.levels
+        codes2 = v2 / adc.vref * adc.levels
+        diff = codes1 * chain.comp1 - codes2 * chain.comp2
+    else:
+        codes1 = quantize(v1, adc)
+        codes2 = quantize(v2, adc)
+        diff = np.rint(codes1 * chain.comp1 - codes2 * chain.comp2).astype(np.int64)
+    return diff, v1, v2
+
+
 def run_dog_pipeline(
     image: IntensityImage,
     k1: GaussianKernel,
@@ -239,57 +311,14 @@ def run_dog_pipeline(
     rescaled to the smaller programming scale before the signed subtraction;
     the compensation factors are carried in the report.
     """
-    if k1.half_width != k2.half_width:
-        raise ConfigurationError("kernel half_widths must match")
-    if k1.sigma >= k2.sigma:
-        raise ConfigurationError(f"need sigma1 < sigma2, got {k1.sigma} >= {k2.sigma}")
-    pk1 = program_kernel(k1, cfg.cell_params)
-    pk2 = program_kernel(k2, cfg.cell_params)
-    kshape = pk1.dv_grid.shape
-    ishape = image.pixels.shape
-
-    sample1 = draw_variation(cfg.variation, kshape, ishape, seed)
-    if cfg.shared_array:
-        sample2 = sample1
-    else:
-        rng_seed2 = np.random.SeedSequence([seed, 1]).generate_state(1)[0]
-        sample2 = draw_variation(cfg.variation, kshape, ishape, int(rng_seed2))
+    chain = _program_chain(image, k1, k2, cfg)
+    sample1, sample2 = _draw_samples(cfg, chain.pk1.dv_grid.shape, image.pixels.shape, seed)
+    diff, v1, v2 = _analog_codes(image, chain, cfg, sample1, sample2)
+    adc = chain.adc
+    sat = saturation_count(v1, adc.vref) + saturation_count(v2, adc.vref)
+    err = np.abs(np.asarray(diff, dtype=np.float64) - chain.oracle_codes)
 
     i_in = cfg.cell_params.i_in_nominal
-    frame = sense(image, i_in, sample1)
-    c1 = analog_convolve(frame, pk1, sample1)
-    c2 = analog_convolve(frame, pk2, sample2)
-    if cfg.settling_error:
-        # first-order settling to within exp(-7) of final value
-        gain = 1.0 - math.exp(-cfg.settle_time / (cfg.settle_time / 7.0))
-        c1 = CurrentFrame(c1.currents * gain)
-        c2 = CurrentFrame(c2.currents * gain)
-
-    v1 = to_voltage(c1, cfg.transimpedance)
-    v2 = to_voltage(c2, cfg.transimpedance)
-
-    adc = cfg.adc
-    if adc.vref is None:
-        wide = pk2 if pk2.gain_sum >= pk1.gain_sum else pk1
-        adc = replace(adc, vref=default_vref(wide, i_in, cfg.transimpedance))
-    sat = saturation_count(v1, adc.vref) + saturation_count(v2, adc.vref)
-
-    s_ref = min(pk1.scale, pk2.scale)
-    comp1 = s_ref / pk1.scale
-    comp2 = s_ref / pk2.scale
-    if cfg.adc_bypass:
-        codes1 = v1 / adc.vref * adc.levels
-        codes2 = v2 / adc.vref * adc.levels
-        diff = codes1 * comp1 - codes2 * comp2
-    else:
-        codes1 = quantize(v1, adc)
-        codes2 = quantize(v2, adc)
-        diff = np.rint(codes1 * comp1 - codes2 * comp2).astype(np.int64)
-
-    oracle = reference_dog(image, k1, k2)
-    oracle_codes = oracle.values * (s_ref * i_in * cfg.transimpedance / adc.vref) * adc.levels
-    err = np.abs(np.asarray(diff, dtype=np.float64) - oracle_codes)
-
     if perf_spec is None:
         perf_spec = block_perf_spec(k1.half_width, i_in, cfg.settle_time, adc)
     report = build_report(
@@ -299,14 +328,14 @@ def run_dog_pipeline(
         mean_abs_error_code=float(err.mean()),
         max_abs_error_code=float(err.max()),
         saturation_count=sat,
-        scale_1=pk1.scale,
-        scale_2=pk2.scale,
-        compensation_1=comp1,
-        compensation_2=comp2,
+        scale_1=chain.pk1.scale,
+        scale_2=chain.pk2.scale,
+        compensation_1=chain.comp1,
+        compensation_2=chain.comp2,
         vref=float(adc.vref),
         seed=seed,
     )
-    return CodeFrame(codes=diff, oracle=oracle_codes), report
+    return CodeFrame(codes=diff, oracle=chain.oracle_codes), report
 
 
 @dataclass(frozen=True)
@@ -321,6 +350,16 @@ class MonteCarloSummary:
     mean_flip_rate: float
 
 
+def _stack(samples: list[VariationSample]) -> VariationSample:
+    """Trials' samples along a leading trial axis."""
+    return VariationSample(
+        seed=samples[0].seed,
+        gamma_mult=np.stack([s.gamma_mult for s in samples]),
+        gain_mult=np.stack([s.gain_mult for s in samples]),
+        sensor_mult=np.stack([s.sensor_mult for s in samples]),
+    )
+
+
 def monte_carlo(
     image: IntensityImage,
     k1: GaussianKernel,
@@ -332,7 +371,8 @@ def monte_carlo(
     """Repeat run_dog_pipeline over seeds base_seed..base_seed+n_trials-1.
 
     Trials are independent; the flip rate compares thresholded edge maps
-    against the oracle's.  Aggregates are order-independent.
+    against the oracle's.  Trials run in batches stacked along a leading axis,
+    which gives the same per-trial values as one run_dog_pipeline per seed.
     """
     if n_trials < 1:
         raise InvalidParameterError("need at least one trial")
@@ -341,12 +381,22 @@ def monte_carlo(
     oracle_frame, _ = run_dog_pipeline(image, k1, k2, zero_var, seed=0)
     oracle_edges = edge_map(oracle_frame.codes)
 
+    chain = _program_chain(image, k1, k2, cfg)
+    kshape, ishape = chain.pk1.dv_grid.shape, image.pixels.shape
+
     maes = np.empty(n_trials)
     flips = np.empty(n_trials)
-    for t in range(n_trials):
-        codes, report = run_dog_pipeline(image, k1, k2, cfg, seed=base_seed + t)
-        maes[t] = report.mean_abs_error_code
-        flips[t] = float(np.mean(edge_map(codes.codes) != oracle_edges))
+    batch = max(1, MC_BATCH_PIXELS // (image.height * image.width))
+    for start in range(0, n_trials, batch):
+        trials = range(start, min(start + batch, n_trials))
+        pairs = [_draw_samples(cfg, kshape, ishape, base_seed + t) for t in trials]
+        sample1 = _stack([p[0] for p in pairs])
+        sample2 = sample1 if cfg.shared_array else _stack([p[1] for p in pairs])
+        codes, _, _ = _analog_codes(image, chain, cfg, sample1, sample2)
+        err = np.abs(np.asarray(codes, dtype=np.float64) - chain.oracle_codes)
+        for k, t in enumerate(trials):
+            maes[t] = err[k].mean()  # one contiguous trial: the per-frame summation order
+        flips[trials.start:trials.stop] = (edge_map(codes) != oracle_edges).mean(axis=(1, 2))
     return MonteCarloSummary(
         n_trials=n_trials,
         base_seed=base_seed,

@@ -107,6 +107,14 @@ class TestRun:
     def test_bad_sigma_ratio_is_config_error(self):
         assert run_cli("run", "--input", "pattern:step", "--sigma-ratio", "0.5") == EXIT_CONFIG
 
+    @pytest.mark.parametrize("model", ["ideal-exponential", "sigmoid-product"])
+    def test_nonpositive_gamma_multiplier_is_config_error(self, tmp_path, capsys, model):
+        # seed 2 at a 0.5 gamma sigma draws a negative gamma multiplier
+        assert run_cli("run", "--input", "pattern:dot", "--model", model,
+                       "--variation-gamma", "0.5", "--seed", "2",
+                       "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
+        assert "gamma multipliers must be positive" in capsys.readouterr().err
+
 
 class TestMonteCarlo:
     def test_zero_variation_rows_identical(self, tmp_path):
@@ -136,6 +144,15 @@ class TestMonteCarlo:
     def test_zero_trials_is_config_error(self, tmp_path):
         assert run_cli("montecarlo", "--input", "pattern:step", "--trials", "0",
                        "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
+
+    def test_sweep_param_without_levels_sweeps_its_own_sigma(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("montecarlo", "--input", "pattern:checkerboard", "--sweep-param", "gain",
+                       "--variation-gain", "0.2", "--trials", "3", "--out-dir", str(out)) == EXIT_OK
+        assert capsys.readouterr().out.startswith("level 0.2: ")
+        doc = load_report(out, "montecarlo.json")
+        assert [lvl["level"] for lvl in doc["levels"]] == [0.2]
+        assert doc["levels"][0]["std_mae"] > 0.0
 
     def test_csv_constant_column_count(self, tmp_path):
         out = tmp_path / "out"
@@ -167,6 +184,16 @@ class TestDeviation:
     def test_reversed_range_is_config_error(self, tmp_path):
         assert run_cli("deviation", "--sweep-lo", "1.3", "--sweep-hi", "-1.3",
                        "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
+
+    def test_sweep_is_fitted_once(self, tmp_path, monkeypatch):
+        import flexdog.cell as cell
+
+        calls = []
+        fit = cell.fit_gaussian
+        monkeypatch.setattr(cell, "fit_gaussian", lambda *a: calls.append(1) or fit(*a))
+        assert run_cli("deviation", "--model", "sigmoid-product",
+                       "--out-dir", str(tmp_path / "out")) == EXIT_OK
+        assert len(calls) == 1
 
     def test_csv_rows(self, tmp_path):
         out = tmp_path / "out"

@@ -1,16 +1,23 @@
+import itertools
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from flexdog.cell import CellParams, program_kernel
+from flexdog.cell import MODEL_IDEAL, MODEL_SIGMOID, CellParams, cell_response, program_kernel
 from flexdog.dog import GaussianKernel, IntensityImage, dog, make_gaussian_kernel
 from flexdog.errors import ConfigurationError, DimensionError, InvalidParameterError
 from flexdog.perf import runtime
 from flexdog.pipeline import (
     DIST_LOGNORMAL,
+    DIST_TRUNCNORM,
+    MC_BATCH_PIXELS,
     AdcSpec,
     AnalogConfig,
     CurrentFrame,
     VariationModel,
+    VariationSample,
     analog_convolve,
     block_perf_spec,
     draw_variation,
@@ -120,6 +127,65 @@ class TestAnalogConvolve:
         with pytest.raises(DimensionError):
             analog_convolve(CurrentFrame(np.zeros((2, 2))), pk, no_variation_sample((2, 2)))
 
+    @pytest.mark.parametrize("model", [MODEL_IDEAL, MODEL_SIGMOID])
+    def test_equals_row_major_sum_of_perturbed_cells(self, model):
+        """Bit for bit: each cell's own perturbed parameters through
+        cell_response, times its gain multiplier, summed in row-major order."""
+        params = CellParams(model_kind=model)
+        pk = program_kernel(make_gaussian_kernel(0.85, 2, normalize=True), params)
+        img = IntensityImage(np.random.default_rng(5).random((12, 10)))
+        sample = draw_variation(VariationModel(0.1, 0.1, 0.1), (5, 5), (12, 10), seed=8)
+        frame = sense(img, params.i_in_nominal, sample)
+        want = np.zeros((8, 6))
+        for i in range(5):
+            for j in range(5):
+                m = float(sample.gamma_mult[i, j])
+                if model == MODEL_IDEAL:
+                    cell = replace(params, gamma=params.gamma * m)
+                else:
+                    steep = params.sigmoid.steepness * math.sqrt(m)
+                    cell = replace(params, sigmoid=replace(params.sigmoid, steepness=steep))
+                window = frame.currents[i : i + 8, j : j + 6]
+                want += sample.gain_mult[i, j] * cell_response(window, pk.dv_grid[i, j], cell)
+        assert np.array_equal(analog_convolve(frame, pk, sample).currents, want)
+
+    @pytest.mark.parametrize("model", [MODEL_IDEAL, MODEL_SIGMOID])
+    def test_trial_stack_equals_separate_calls(self, model):
+        params = CellParams(model_kind=model)
+        pk = program_kernel(make_gaussian_kernel(0.85, 2, normalize=True), params)
+        rng = np.random.default_rng(4)
+        img = IntensityImage(rng.random((11, 13)))
+        model_var = VariationModel(0.1, 0.1, 0.1)
+        samples = [draw_variation(model_var, (5, 5), (11, 13), seed=s) for s in range(4)]
+        stacked = VariationSample(
+            seed=0,
+            gamma_mult=np.stack([s.gamma_mult for s in samples]),
+            gain_mult=np.stack([s.gain_mult for s in samples]),
+            sensor_mult=np.stack([s.sensor_mult for s in samples]),
+        )
+        out = analog_convolve(sense(img, params.i_in_nominal, stacked), pk, stacked)
+        assert out.currents.shape == (4, 7, 9)
+        for t, sample in enumerate(samples):
+            single = analog_convolve(sense(img, params.i_in_nominal, sample), pk, sample)
+            assert np.array_equal(out.currents[t], single.currents)
+
+    @pytest.mark.parametrize("model", [MODEL_IDEAL, MODEL_SIGMOID])
+    @pytest.mark.parametrize("bad", [0.0, -0.2])
+    def test_nonpositive_gamma_multiplier_rejected(self, model, bad):
+        params = CellParams(model_kind=model)
+        pk = program_kernel(K1, params)
+        sample = no_variation_sample((5, 5))
+        sample.gamma_mult[0, 2] = bad
+        with pytest.raises(InvalidParameterError):
+            analog_convolve(CurrentFrame(np.ones((5, 5))), pk, sample)
+
+    def test_negative_gain_multiplier_rejected(self):
+        pk = program_kernel(K1, CellParams())
+        sample = no_variation_sample((5, 5))
+        sample.gain_mult[:] = -1.0
+        with pytest.raises(InvalidParameterError):
+            analog_convolve(CurrentFrame(np.ones((5, 5))), pk, sample)
+
 
 class TestVoltageAndAdc:
     def test_ohms_law(self):
@@ -144,6 +210,13 @@ class TestVoltageAndAdc:
         adc = AdcSpec(bits=8, vref=1.0)
         assert quantize(np.array(-0.3), adc) == 0
         assert quantize(np.array(2.0), adc) == 255
+
+    def test_quantize_equals_sign_magnitude_rounding(self):
+        adc = AdcSpec(bits=4, vref=1.0)
+        v = np.concatenate([np.linspace(-0.5, 1.5, 4001), np.arange(-3, 40) / 2 / adc.levels])
+        x = v / adc.vref * adc.levels
+        old = np.clip(np.sign(x) * np.floor(np.abs(x) + 0.5), 0, adc.levels).astype(np.int64)
+        assert np.array_equal(quantize(v, adc), old)
 
     def test_quantization_error_bound(self):
         adc = AdcSpec(bits=6, vref=2.5)
@@ -301,6 +374,46 @@ class TestMonteCarlo:
             n_trials=100, base_seed=500,
         )
         assert high.mean_mae > low.mean_mae
+
+    @staticmethod
+    def per_seed_loop(img, k1, k2, cfg, n_trials, base_seed):
+        """monte_carlo's per-trial arrays from one run_dog_pipeline per seed."""
+        ideal = replace(cfg, variation=VariationModel(), adc_bypass=True)
+        oracle_edges = edge_map(run_dog_pipeline(img, k1, k2, ideal, seed=0)[0].codes)
+        maes, flips = [], []
+        for t in range(n_trials):
+            codes, report = run_dog_pipeline(img, k1, k2, cfg, seed=base_seed + t)
+            maes.append(report.mean_abs_error_code)
+            flips.append(float(np.mean(edge_map(codes.codes) != oracle_edges)))
+        return np.array(maes), np.array(flips)
+
+    @pytest.mark.parametrize(
+        "model,shared,bypass,distribution,settling,p",
+        list(itertools.product([MODEL_IDEAL, MODEL_SIGMOID], [True, False], [False, True],
+                               [DIST_TRUNCNORM, DIST_LOGNORMAL], [False, True], [1, 2])),
+    )
+    def test_batched_trials_equal_per_seed_pipeline(self, model, shared, bypass, distribution,
+                                                    settling, p):
+        k1 = make_gaussian_kernel(0.85, p, normalize=True)
+        k2 = make_gaussian_kernel(0.85 * np.sqrt(2), p, normalize=True)
+        cfg = AnalogConfig(cell_params=CellParams(model_kind=model),
+                           variation=VariationModel(0.05, 0.05, 0.05, distribution),
+                           shared_array=shared, adc_bypass=bypass, settling_error=settling)
+        img = self.binary_image(size=12)
+        summary = monte_carlo(img, k1, k2, cfg, n_trials=4, base_seed=31)
+        maes, flips = self.per_seed_loop(img, k1, k2, cfg, 4, 31)
+        assert np.array_equal(summary.per_trial_mae, maes)
+        assert np.array_equal(summary.per_trial_flip_rate, flips)
+
+    def test_trials_spanning_three_batches_equal_per_seed_pipeline(self):
+        img = self.binary_image(size=28)
+        cfg = AnalogConfig(variation=VariationModel(0.05, 0.05, 0.05))
+        assert (MC_BATCH_PIXELS // (28 * 28)) * 2 < 45 <= (MC_BATCH_PIXELS // (28 * 28)) * 3
+        summary = monte_carlo(img, K1, K2, cfg, n_trials=45, base_seed=900)
+        maes, flips = self.per_seed_loop(img, K1, K2, cfg, 45, 900)
+        assert np.array_equal(summary.per_trial_mae, maes)
+        assert np.array_equal(summary.per_trial_flip_rate, flips)
+        assert summary.mean_mae == float(maes.mean())
 
     def test_zero_trials_rejected(self):
         with pytest.raises(InvalidParameterError):
