@@ -3,7 +3,7 @@ accelerator built from flexible thin-film-transistor Gilbert Gaussian cells.
 
 Layers:
 
-- flexdog.dog      bit-exact digital DoG reference and op-count model
+- flexdog.dog      digital DoG oracle, the shared correlation primitive, op counts
 - flexdog.cell     Gilbert Gaussian cell model, weight programming, deviation
 - flexdog.pipeline analog signal chain with process variation and ADC
 - flexdog.perf     power / runtime / energy accounting

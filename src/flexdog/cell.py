@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .dog import GaussianKernel
-from .errors import InvalidGainError, InvalidParameterError, UnachievableGainError
+from .errors import InvalidGainError, InvalidParameterError, UnachievableGainError, check_range
 
 MODEL_IDEAL = "ideal-exponential"
 MODEL_SIGMOID = "sigmoid-product"
@@ -35,8 +35,8 @@ class SigmoidProductParams:
     half_separation: float = 0.4
 
     def __post_init__(self):
-        if self.steepness <= 0 or self.half_separation <= 0:
-            raise InvalidParameterError("sigmoid parameters must be positive")
+        check_range("steepness", self.steepness, above=0)
+        check_range("half_separation", self.half_separation, above=0)
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,8 @@ class CellParams:
     sigmoid: SigmoidProductParams = SigmoidProductParams()
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise InvalidParameterError(f"gamma must be positive, got {self.gamma}")
-        if self.i_in_nominal <= 0:
-            raise InvalidParameterError("nominal input current must be positive")
+        check_range("gamma", self.gamma, above=0)
+        check_range("i_in_nominal", self.i_in_nominal, above=0)
         if self.model_kind not in (MODEL_IDEAL, MODEL_SIGMOID):
             raise InvalidParameterError(f"unknown cell model {self.model_kind!r}")
 
@@ -182,8 +180,7 @@ def sweep_curves(params, lo, hi, n_points, reference="fitted-gaussian"):
     """Raw (dv, response, reference) arrays behind sweep_deviation."""
     if not lo < hi:
         raise InvalidParameterError(f"degenerate sweep range [{lo}, {hi}]")
-    if n_points < 3:
-        raise InvalidParameterError("need at least 3 sweep points")
+    check_range("sweep points", n_points, at_least=3)
     if reference not in ("fitted-gaussian", "eq4-gaussian"):
         raise InvalidParameterError(f"unknown deviation reference {reference!r}")
     dv = np.linspace(lo, hi, n_points)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,7 +29,7 @@ from .cell import (
     fit_gamma_from_file,
     sweep_curves,
 )
-from .dog import IntensityImage, make_gaussian_kernel
+from .dog import DEFAULT_SIGMA1, DEFAULT_SIGMA_RATIO, IntensityImage, make_gaussian_kernel
 from .errors import (
     ConfigurationError,
     DimensionError,
@@ -87,8 +86,8 @@ SETTINGS = {row.name: row for row in (
     Setting("threshold", float, 0.5, "input", "binarization threshold in [0,1]"),
     Setting("no_binarize", bool, False, "input",
             "feed grayscale intensities instead of binary pixels"),
-    Setting("sigma1", float, 0.85, "kernels", "narrow Gaussian scale"),
-    Setting("sigma_ratio", float, math.sqrt(2.0), "kernels", "sigma2/sigma1 (> 1)"),
+    Setting("sigma1", float, DEFAULT_SIGMA1, "kernels", "narrow Gaussian scale"),
+    Setting("sigma_ratio", float, DEFAULT_SIGMA_RATIO, "kernels", "sigma2/sigma1 (> 1)"),
     Setting("half_width", int, 1, "kernels", "kernel half-width P"),
     Setting("gamma", float, 1.0, "cell model", "cell curvature constant (1/V^2)"),
     Setting("i_in", float, 100e-9, "cell model", "nominal input current (A)"),

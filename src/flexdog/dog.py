@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, InvalidParameterError
+from .errors import ConfigurationError, DimensionError, InvalidParameterError, check_range
 
 DEFAULT_SIGMA1 = 0.85
 DEFAULT_SIGMA_RATIO = math.sqrt(2.0)
@@ -31,7 +31,7 @@ class IntensityImage:
         object.__setattr__(self, "pixels", pixels)
         if pixels.ndim != 2 or pixels.shape[0] < 1 or pixels.shape[1] < 1:
             raise DimensionError(f"image must be a non-empty 2-D grid, got shape {pixels.shape}")
-        if np.any(pixels < 0.0) or np.any(pixels > 1.0):
+        if np.any(pixels < 0.0) or np.any(pixels > 1.0) or np.any(np.isnan(pixels)):
             raise InvalidParameterError("pixel intensities must lie in [0, 1]")
 
     @property
@@ -47,14 +47,14 @@ class IntensityImage:
 class GaussianKernel:
     """sigma plus a (2P+1) x (2P+1) weight grid.
 
-    Weights are kept raw (unnormalized) by default so the analog programming
-    path can use pure weight ratios; normalization is a constructor option.
+    make_gaussian_kernel keeps weights raw (unnormalized) by default so the
+    analog programming path can use pure weight ratios; normalizing is its
+    option.
     """
 
     sigma: float
     half_width: int
     weights: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=np.float64)
@@ -64,10 +64,6 @@ class GaussianKernel:
             raise DimensionError(
                 f"kernel weights must be {side}x{side} for half_width={self.half_width}"
             )
-
-    @property
-    def side(self) -> int:
-        return 2 * self.half_width + 1
 
 
 @dataclass(frozen=True)
@@ -104,36 +100,42 @@ def make_gaussian_kernel(sigma: float, half_width: int, normalize: bool = False)
     under x -> -x, y -> -y and x <-> y is exact because the weight depends on
     x^2 + y^2 only.
     """
-    if sigma <= 0:
-        raise InvalidParameterError(f"sigma must be positive, got {sigma}")
-    if half_width < 1:
-        raise InvalidParameterError(f"half_width must be >= 1, got {half_width}")
+    check_range("sigma", sigma, above=0)
+    check_range("half_width", half_width, at_least=1)
     offsets = np.arange(-half_width, half_width + 1, dtype=np.float64)
     sq = offsets[:, None] ** 2 + offsets[None, :] ** 2
     weights = np.exp(-sq / (2.0 * sigma * sigma)) / (2.0 * math.pi * sigma * sigma)
     if normalize:
         weights = weights / weights.sum()
-    return GaussianKernel(sigma=sigma, half_width=half_width, weights=weights, normalized=normalize)
+    return GaussianKernel(sigma=sigma, half_width=half_width, weights=weights)
 
 
-def correlate_valid(pixels: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def correlate_valid(pixels: np.ndarray, *factors: np.ndarray) -> np.ndarray:
     """Valid-mode cross-correlation with a fixed row-major accumulation order.
 
-    This is the unclamped numeric core shared by convolve_valid and tests
-    that feed values outside [0, 1].  The per-output-pixel summation order is
-    the kernel's row-major order, so results are independent of any caller
-    parallelism.
+    The oracle passes its kernel weights as the one factor grid; the analog
+    cell array passes each cell's factors.  Each tap's window is multiplied by
+    every factor grid in turn, left to right, and added in the kernel's
+    row-major order, so results do not depend on caller parallelism.  Pixels
+    may carry leading trial axes (..., H, W), factors (..., kh, kw).
     """
     pixels = np.asarray(pixels, dtype=np.float64)
-    kh, kw = weights.shape
-    h, w = pixels.shape
+    factors = np.broadcast_arrays(*factors)
+    kh, kw = factors[0].shape[-2:]
+    h, w = pixels.shape[-2:]
     if h < kh or w < kw:
         raise DimensionError(f"image {h}x{w} smaller than kernel {kh}x{kw}")
     oh, ow = h - kh + 1, w - kw + 1
-    out = np.zeros((oh, ow), dtype=np.float64)
+    lead = np.broadcast_shapes(pixels.shape[:-2], factors[0].shape[:-2])
+    out = np.zeros((*lead, oh, ow), dtype=np.float64)
+    tap = np.empty_like(out)  # one scratch buffer for every tap
     for i in range(kh):
         for j in range(kw):
-            out += weights[i, j] * pixels[i : i + oh, j : j + ow]
+            np.multiply(pixels[..., i : i + oh, j : j + ow], factors[0][..., i, j, None, None],
+                        out=tap)
+            for f in factors[1:]:
+                np.multiply(tap, f[..., i, j, None, None], out=tap)
+            out += tap
     return out
 
 
@@ -166,8 +168,7 @@ def op_count(m: int, n: int, p: int) -> OpCount:
     (M-2P)(N-2P) output pixels, each costing (2P+1)^2 multiplies and
     (2P+1)^2 - 1 additions.
     """
-    if p < 1:
-        raise InvalidParameterError(f"half_width must be >= 1, got {p}")
+    check_range("half_width", p, at_least=1)
     if m <= 2 * p or n <= 2 * p:
         raise DimensionError(f"kernel (P={p}) does not fit inside a {m}x{n} image")
     outputs = (m - 2 * p) * (n - 2 * p)

@@ -1,4 +1,6 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the numeric range check."""
+
+import math
 
 
 class DimensionError(ValueError):
@@ -23,3 +25,17 @@ class UnachievableGainError(ValueError):
 
 class FormatError(ValueError):
     """A binary input file (IDX, PGM) is malformed."""
+
+
+def check_range(name: str, value, *, above=None, at_least=None, at_most=None) -> None:
+    """Raise InvalidParameterError unless ``value`` is finite, greater than
+    ``above``, at least ``at_least`` and at most ``at_most`` (each bound only
+    when given).  A Python int is always finite, however large."""
+    if ((isinstance(value, int) or math.isfinite(value))
+            and (above is None or value > above)
+            and (at_least is None or value >= at_least)
+            and (at_most is None or value <= at_most)):
+        return
+    bounds = "".join(f" and {op} {bound}" for op, bound in
+                     ((">", above), (">=", at_least), ("<=", at_most)) if bound is not None)
+    raise InvalidParameterError(f"{name} must be finite{bounds}, got {value}")

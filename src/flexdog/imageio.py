@@ -3,12 +3,13 @@ test patterns, binarization and code-frame visualization."""
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
 
 from .dog import IntensityImage
-from .errors import FormatError, InvalidParameterError
+from .errors import FormatError, InvalidParameterError, check_range
 
 IDX_IMAGE_MAGIC = 2051
 
@@ -24,12 +25,14 @@ def load_idx_image(path, index: int = 0) -> IntensityImage:
         magic, count, rows, cols = struct.unpack(">iiii", header)
         if magic != IDX_IMAGE_MAGIC:
             raise FormatError(f"{path}: bad IDX magic {magic}, expected {IDX_IMAGE_MAGIC}")
+        if min(count, rows, cols) < 1:
+            raise FormatError(f"{path}: bad IDX sizes {count} x {rows} x {cols}")
+        if 16 + count * rows * cols > os.fstat(f.fileno()).st_size:
+            raise FormatError(f"{path}: truncated IDX payload ({count} x {rows} x {cols} declared)")
         if not 0 <= index < count:
             raise IndexError(f"image index {index} out of range (file holds {count})")
         f.seek(16 + index * rows * cols)
         payload = f.read(rows * cols)
-    if len(payload) < rows * cols:
-        raise FormatError(f"{path}: truncated IDX payload")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(rows, cols)
     return IntensityImage(pixels=pixels.astype(np.float64) / 255.0)
 
@@ -61,11 +64,14 @@ def read_pgm(path) -> IntensityImage:
     magic, pos = _read_pgm_token(data, 0)
     if magic != b"P5":
         raise FormatError(f"{path}: not a binary PGM (magic {magic!r})")
-    width, pos = _read_pgm_token(data, pos)
-    height, pos = _read_pgm_token(data, pos)
-    maxval, pos = _read_pgm_token(data, pos)
-    width, height, maxval = int(width), int(height), int(maxval)
-    if maxval < 1 or maxval > 255:
+    sizes = []
+    for field in ("width", "height", "maxval"):
+        token, pos = _read_pgm_token(data, pos)
+        if not token.isdigit() or int(token) < 1:  # a positive decimal integer
+            raise FormatError(f"{path}: bad PGM {field} {token!r}")
+        sizes.append(int(token))
+    width, height, maxval = sizes
+    if maxval > 255:
         raise FormatError(f"{path}: unsupported PGM maxval {maxval}")
     pos += 1  # single whitespace byte after maxval
     raster = data[pos : pos + width * height]
@@ -100,15 +106,13 @@ def codes_to_gray(codes: np.ndarray, bits: int = 8) -> np.ndarray:
 
 def binarize(image: IntensityImage, threshold: float = 0.5) -> IntensityImage:
     """Pixel >= threshold -> 1 else 0 (so threshold 0 turns everything on)."""
-    if not 0.0 <= threshold <= 1.0:
-        raise InvalidParameterError(f"threshold must be in [0, 1], got {threshold}")
+    check_range("threshold", threshold, at_least=0.0, at_most=1.0)
     return IntensityImage(pixels=(image.pixels >= threshold).astype(np.float64))
 
 
 def make_pattern(name: str, size: int = PATTERN_SIZE) -> IntensityImage:
     """Built-in binary test patterns: constant, step, checkerboard, dot."""
-    if size < 3:
-        raise InvalidParameterError("pattern size must be >= 3")
+    check_range("pattern size", size, at_least=3)
     if name == "constant":
         pixels = np.full((size, size), 0.5)
     elif name == "step":

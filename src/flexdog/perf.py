@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
-from .errors import DimensionError, InvalidParameterError
+from .errors import DimensionError, InvalidParameterError, check_range
 
 REALTIME_LIMIT_S = 42e-3
 
@@ -31,23 +31,19 @@ class PerfSpec:
     pixel_count_mode: str = PIXELS_FULL
     half_width: int = 1  # used only in valid-only pixel counting
     adc_separate: bool = False  # bill ADC conversions on top of settling
-    parallel_power: bool = False  # bill power for all concurrent filter blocks
 
     def __post_init__(self):
-        if min(self.supply_v, self.node_current, self.settle_time, self.adc_time) <= 0:
-            raise InvalidParameterError("supply, current and times must be positive")
-        if self.node_count < 1 or self.parallelism < 1 or self.half_width < 1:
-            raise InvalidParameterError("counts must be positive integers")
+        for name in ("supply_v", "node_current", "settle_time", "adc_time"):
+            check_range(name, getattr(self, name), above=0)
+        for name in ("node_count", "parallelism", "half_width"):
+            check_range(name, getattr(self, name), at_least=1)
         if self.pixel_count_mode not in (PIXELS_FULL, PIXELS_VALID):
             raise InvalidParameterError(f"unknown pixel count mode {self.pixel_count_mode!r}")
 
 
 def power(spec: PerfSpec) -> float:
-    """P = U * I * n for one filter block (times parallelism if billed)."""
-    p = spec.supply_v * spec.node_current * spec.node_count
-    if spec.parallel_power:
-        p *= spec.parallelism
-    return p
+    """P = U * I * n for one filter block."""
+    return spec.supply_v * spec.node_current * spec.node_count
 
 
 def _pixel_count(m: int, n: int, spec: PerfSpec) -> int:
@@ -77,8 +73,7 @@ def energy(m: int, n: int, spec: PerfSpec) -> float:
 
 def realtime_check(runtime_s: float) -> bool:
     """True iff strictly faster than the 24 fps human-perception bound."""
-    if runtime_s < 0:
-        raise InvalidParameterError("runtime must be nonnegative")
+    check_range("runtime", runtime_s, at_least=0)
     return runtime_s < REALTIME_LIMIT_S
 
 

@@ -15,12 +15,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dog import GaussianKernel, IntensityImage, dog as reference_dog
+# correlate_valid is bound by name: the benchmark's tracer patches dog.correlate_valid,
+# so the cell array's correlations are timed under pipeline.analog_convolve.
+from .dog import GaussianKernel, IntensityImage, correlate_valid, dog as reference_dog
 from .cell import CellParams, ProgrammedKernel, cell_factors, program_kernel
 # Not called here; kept importable from this module because the benchmark's
 # tracer binds flexdog.pipeline.cell_response as a boundary.
 from .cell import cell_response  # noqa: F401
-from .errors import ConfigurationError, DimensionError, InvalidParameterError
+from .errors import ConfigurationError, DimensionError, InvalidParameterError, check_range
 from .perf import PerfSpec, SimReport, build_report
 
 DIST_TRUNCNORM = "normal-truncated"
@@ -37,6 +39,10 @@ EDGE_THRESHOLD_CODES = 2.0
 # batch of large frames costs no more memory than one trial.
 MC_BATCH_PIXELS = 2**14
 
+# First-order settling with time constant settle_time / 7 ends within exp(-7) of
+# the final value.  settle_time cancels out and does not enter this gain.
+SETTLING_GAIN = 1.0 - math.exp(-7.0)
+
 
 @dataclass(frozen=True)
 class VariationModel:
@@ -48,8 +54,8 @@ class VariationModel:
     distribution: str = DIST_TRUNCNORM
 
     def __post_init__(self):
-        if min(self.gamma_rel_sigma, self.gain_rel_sigma, self.sensor_rel_sigma) < 0:
-            raise InvalidParameterError("variation sigmas must be nonnegative")
+        for name in ("gamma_rel_sigma", "gain_rel_sigma", "sensor_rel_sigma"):
+            check_range(name, getattr(self, name), at_least=0)
         if self.distribution not in (DIST_TRUNCNORM, DIST_LOGNORMAL):
             raise InvalidParameterError(f"unknown distribution {self.distribution!r}")
 
@@ -59,7 +65,6 @@ class VariationSample:
     """One concrete draw of multiplicative device perturbations; monte_carlo
     stacks trials' draws along a leading axis."""
 
-    seed: int
     gamma_mult: np.ndarray  # kernel-shaped
     gain_mult: np.ndarray  # kernel-shaped
     sensor_mult: np.ndarray  # image-shaped
@@ -72,12 +77,11 @@ class AdcSpec:
     t_conv: float = 5e-9
 
     def __post_init__(self):
-        if self.bits < 1:
-            raise InvalidParameterError("ADC needs at least 1 bit")
-        if self.vref is not None and self.vref <= 0:
-            raise InvalidParameterError("vref must be positive")
-        if self.t_conv <= 0:
-            raise InvalidParameterError("conversion time must be positive")
+        # codes are float64 before rounding, which holds 2**53 - 1 levels exactly
+        check_range("ADC bits", self.bits, at_least=1, at_most=53)
+        if self.vref is not None:
+            check_range("vref", self.vref, above=0)
+        check_range("t_conv", self.t_conv, above=0)
 
     @property
     def levels(self) -> int:
@@ -96,8 +100,8 @@ class AnalogConfig:
     settling_error: bool = False  # first-order incomplete-settling amplitude loss
 
     def __post_init__(self):
-        if self.transimpedance <= 0 or self.settle_time <= 0:
-            raise InvalidParameterError("transimpedance and settle time must be positive")
+        check_range("transimpedance", self.transimpedance, above=0)
+        check_range("settle_time", self.settle_time, above=0)
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,6 @@ def draw_variation(
     gamma, gain, sensor)."""
     rng = np.random.default_rng(seed)
     return VariationSample(
-        seed=seed,
         gamma_mult=_multipliers(rng, model.gamma_rel_sigma, kernel_shape, model.distribution),
         gain_mult=_multipliers(rng, model.gain_rel_sigma, kernel_shape, model.distribution),
         sensor_mult=_multipliers(rng, model.sensor_rel_sigma, image_shape, model.distribution),
@@ -162,32 +165,18 @@ def sense(image: IntensityImage, i_in_nominal: float, sample: VariationSample) -
 def analog_convolve(frame: CurrentFrame, pk: ProgrammedKernel, sample: VariationSample) -> CurrentFrame:
     """Kirchhoff summation of the per-cell output currents.
 
-    Frames may carry leading trial axes (..., H, W), with the sample's
-    multipliers shaped (..., kh, kw).  Accumulation is row-major over the cell
-    grid so results are deterministic regardless of how callers parallelize.
+    Each cell multiplies its input current by its two cell factors and then by
+    its gain multiplier, and the products are summed in the cell grid's
+    row-major order, so results are deterministic regardless of how callers
+    parallelize.  Frames may carry leading trial axes (..., H, W), with the
+    sample's multipliers shaped (..., kh, kw).
     """
-    kh, kw = pk.dv_grid.shape
-    currents = frame.currents
-    h, w = currents.shape[-2:]
-    if h < kh or w < kw:
-        raise DimensionError(f"frame {h}x{w} smaller than kernel {kh}x{kw}")
-    oh, ow = h - kh + 1, w - kw + 1
-    a, b, g = np.broadcast_arrays(*cell_factors(pk.dv_grid, pk.params, sample.gamma_mult),
-                                  sample.gain_mult)
-    out = np.zeros((*currents.shape[:-2], oh, ow), dtype=np.float64)
-    tap = np.empty_like(out)  # one scratch buffer for every tap
-    for i in range(kh):
-        for j in range(kw):
-            np.multiply(currents[..., i : i + oh, j : j + ow], a[..., i, j, None, None], out=tap)
-            np.multiply(tap, b[..., i, j, None, None], out=tap)
-            np.multiply(tap, g[..., i, j, None, None], out=tap)
-            out += tap
-    return CurrentFrame(currents=out)
+    a, b = cell_factors(pk.dv_grid, pk.params, sample.gamma_mult)
+    return CurrentFrame(correlate_valid(frame.currents, a, b, sample.gain_mult))
 
 
 def to_voltage(frame: CurrentFrame, transimpedance: float) -> np.ndarray:
-    if transimpedance <= 0:
-        raise InvalidParameterError("transimpedance must be positive")
+    check_range("transimpedance", transimpedance, above=0)
     return frame.currents * transimpedance
 
 
@@ -242,10 +231,7 @@ def _program_chain(image: IntensityImage, k1: GaussianKernel, k2: GaussianKernel
     Code streams from the two scales are rescaled to the smaller programming
     scale before the signed subtraction; comp1 and comp2 are those factors.
     """
-    if k1.half_width != k2.half_width:
-        raise ConfigurationError("kernel half_widths must match")
-    if k1.sigma >= k2.sigma:
-        raise ConfigurationError(f"need sigma1 < sigma2, got {k1.sigma} >= {k2.sigma}")
+    oracle = reference_dog(image, k1, k2)  # first: dog() checks the kernel pairing
     pk1 = program_kernel(k1, cfg.cell_params)
     pk2 = program_kernel(k2, cfg.cell_params)
     i_in = cfg.cell_params.i_in_nominal
@@ -254,7 +240,6 @@ def _program_chain(image: IntensityImage, k1: GaussianKernel, k2: GaussianKernel
         wide = pk2 if pk2.gain_sum >= pk1.gain_sum else pk1
         adc = replace(adc, vref=default_vref(wide, i_in, cfg.transimpedance))
     s_ref = min(pk1.scale, pk2.scale)
-    oracle = reference_dog(image, k1, k2)
     oracle_codes = oracle.values * (s_ref * i_in * cfg.transimpedance / adc.vref) * adc.levels
     return _Chain(pk1, pk2, adc, s_ref / pk1.scale, s_ref / pk2.scale, oracle_codes)
 
@@ -277,10 +262,8 @@ def _analog_codes(image: IntensityImage, chain: _Chain, cfg: AnalogConfig,
     c1 = analog_convolve(frame, chain.pk1, sample1)
     c2 = analog_convolve(frame, chain.pk2, sample2)
     if cfg.settling_error:
-        # first-order settling to within exp(-7) of final value
-        gain = 1.0 - math.exp(-cfg.settle_time / (cfg.settle_time / 7.0))
-        c1 = CurrentFrame(c1.currents * gain)
-        c2 = CurrentFrame(c2.currents * gain)
+        c1 = CurrentFrame(c1.currents * SETTLING_GAIN)
+        c2 = CurrentFrame(c2.currents * SETTLING_GAIN)
 
     v1 = to_voltage(c1, cfg.transimpedance)
     v2 = to_voltage(c2, cfg.transimpedance)
@@ -353,7 +336,6 @@ class MonteCarloSummary:
 def _stack(samples: list[VariationSample]) -> VariationSample:
     """Trials' samples along a leading trial axis."""
     return VariationSample(
-        seed=samples[0].seed,
         gamma_mult=np.stack([s.gamma_mult for s in samples]),
         gain_mult=np.stack([s.gain_mult for s in samples]),
         sensor_mult=np.stack([s.sensor_mult for s in samples]),

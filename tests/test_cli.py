@@ -1,10 +1,17 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from flexdog.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from flexdog.imageio import read_pgm
+
+BAD_HEADER_FILES = {
+    "negative-width.pgm": b"P5\n-4 4\n255\n" + bytes(16),
+    "word-width.pgm": b"P5\nx 4\n255\n" + bytes(16),
+    "negative-rows.idx": struct.pack(">iiii", 2051, 1, -28, 28) + bytes(28 * 28),
+}
 
 
 def run_cli(*argv):
@@ -66,8 +73,6 @@ class TestRun:
         assert json.loads(json.dumps(doc)) == doc
 
     def test_idx_input(self, tmp_path):
-        import struct
-
         rng = np.random.default_rng(2)
         images = rng.integers(0, 256, (2, 28, 28), dtype=np.uint8)
         idx = tmp_path / "digits.idx"
@@ -103,6 +108,23 @@ class TestRun:
                        "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"{cfg}:2" in err and "'seed'" in err
+
+    @pytest.mark.parametrize("name", sorted(BAD_HEADER_FILES))
+    def test_bad_header_size_is_io_error(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_bytes(BAD_HEADER_FILES[name])
+        assert run_cli("run", "--input", str(path), "--out-dir", str(tmp_path / "out")) == EXIT_IO
+        assert "I/O error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option,value", [
+        ("--gamma", "nan"), ("--vref", "nan"), ("--transimpedance", "nan"), ("--bits", "64"),
+        ("--bits", "54"), ("--i-in", "inf"), ("--settle-time", "nan"), ("--sigma1", "nan"),
+        ("--variation-gain", "nan"), ("--steepness", "inf"), ("--supply", "nan"),
+        ("--bits", "1" + "0" * 400),  # too large for a float
+    ])
+    def test_non_finite_or_out_of_range_setting_is_config_error(self, tmp_path, option, value):
+        assert run_cli("run", "--input", "pattern:step", option, value,
+                       "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
 
     def test_bad_sigma_ratio_is_config_error(self):
         assert run_cli("run", "--input", "pattern:step", "--sigma-ratio", "0.5") == EXIT_CONFIG

@@ -75,7 +75,8 @@ class TestMakeGaussianKernel:
         assert k.weights[2, 2] == k.weights.max()
         assert np.all(k.weights > 0)
 
-    @pytest.mark.parametrize("sigma,p", [(0.0, 1), (-1.0, 1), (1.0, 0), (1.0, -2)])
+    @pytest.mark.parametrize("sigma,p", [(0.0, 1), (-1.0, 1), (1.0, 0), (1.0, -2),
+                                         (float("nan"), 1), (float("inf"), 1)])
     def test_invalid_parameters(self, sigma, p):
         with pytest.raises(InvalidParameterError):
             make_gaussian_kernel(sigma, p)
@@ -100,7 +101,7 @@ class TestConvolveValid:
 
     def test_flat_kernel_mean(self):
         img = IntensityImage(np.arange(9, dtype=float).reshape(3, 3) / 8.0)
-        k = GaussianKernel(sigma=1.0, half_width=1, weights=np.full((3, 3), 1 / 9), normalized=True)
+        k = GaussianKernel(sigma=1.0, half_width=1, weights=np.full((3, 3), 1 / 9))
         out = convolve_valid(img, k)
         assert out.values.shape == (1, 1)
         assert out.values[0, 0] == pytest.approx(0.5, abs=1e-12)
@@ -245,9 +246,10 @@ class TestOpCount:
 
 
 class TestTypes:
-    def test_intensity_image_range_checked(self):
+    @pytest.mark.parametrize("bad", [1.5, -0.5, float("nan")])
+    def test_intensity_image_range_checked(self, bad):
         with pytest.raises(InvalidParameterError):
-            IntensityImage(np.array([[0.0, 1.5]]))
+            IntensityImage(np.array([[0.0, bad]]))
 
     def test_intensity_image_shape_checked(self):
         with pytest.raises(DimensionError):

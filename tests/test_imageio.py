@@ -63,6 +63,23 @@ class TestIdx:
         with pytest.raises(FormatError):
             load_idx_image(path, 0)
 
+    @pytest.mark.parametrize("sizes", [(1, -28, 28), (1, 28, 0), (-1, 4, 4), (0, 4, 4)])
+    def test_nonpositive_sizes_rejected(self, tmp_path, sizes):
+        path = tmp_path / "bad.idx"
+        with open(path, "wb") as f:
+            f.write(struct.pack(">iiii", 2051, *sizes))
+            f.write(bytes(28 * 28))
+        with pytest.raises(FormatError):
+            load_idx_image(path, 0)
+
+    def test_count_beyond_file_rejected(self, tmp_path):
+        path = tmp_path / "short.idx"
+        with open(path, "wb") as f:
+            f.write(struct.pack(">iiii", 2051, 3, 4, 4))
+            f.write(bytes(16))  # one image of the three declared
+        with pytest.raises(FormatError):
+            load_idx_image(path, 0)
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "stub.idx"
         path.write_bytes(b"\x00\x00")
@@ -96,6 +113,15 @@ class TestPgm:
     def test_ascii_pgm_rejected(self, tmp_path):
         path = tmp_path / "p2.pgm"
         path.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
+        with pytest.raises(FormatError):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("header", [b"P5\n-4 4\n255\n", b"P5\nx 4\n255\n",
+                                        b"P5\n4.0 4\n255\n", b"P5\n4 0\n255\n",
+                                        b"P5\n4 4\n0\n", b"P5\n4 4\n256\n"])
+    def test_bad_header_sizes_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header + bytes(16))
         with pytest.raises(FormatError):
             read_pgm(path)
 

@@ -27,10 +27,6 @@ class TestPower:
         spec = PerfSpec(node_count=25)
         assert power(spec) == pytest.approx(8.25e-6, rel=1e-12)
 
-    def test_parallel_power_accounting(self):
-        spec = PerfSpec(parallelism=4, parallel_power=True)
-        assert power(spec) == pytest.approx(4 * 2.97e-6, rel=1e-12)
-
 
 class TestRuntime:
     def test_paper_figure_28x28(self):

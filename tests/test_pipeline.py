@@ -158,7 +158,6 @@ class TestAnalogConvolve:
         model_var = VariationModel(0.1, 0.1, 0.1)
         samples = [draw_variation(model_var, (5, 5), (11, 13), seed=s) for s in range(4)]
         stacked = VariationSample(
-            seed=0,
             gamma_mult=np.stack([s.gamma_mult for s in samples]),
             gain_mult=np.stack([s.gain_mult for s in samples]),
             sensor_mult=np.stack([s.sensor_mult for s in samples]),
