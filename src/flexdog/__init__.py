@@ -41,7 +41,6 @@ from .pipeline import (
     AdcSpec,
     AnalogConfig,
     CodeFrame,
-    CurrentFrame,
     MonteCarloSummary,
     VariationModel,
     VariationSample,

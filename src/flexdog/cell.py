@@ -200,14 +200,19 @@ def fit_gamma_from_file(path) -> float:
     Two whitespace-separated columns, one sample per line, '#' comments
     allowed.  Log-domain linear least squares: ln I = ln(I_in/2) - gamma dv^2.
     """
-    data = np.loadtxt(path, dtype=np.float64)
+    try:
+        data = np.loadtxt(path, dtype=np.float64)
+    except ValueError as exc:  # a non-numeric or missing cell
+        raise InvalidParameterError(f"{path}: unreadable calibration data ({exc})") from None
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
-        raise InvalidParameterError("calibration file needs >= 2 rows of (dv, i_out)")
+        raise InvalidParameterError(f"{path}: calibration file needs >= 2 rows of (dv, i_out)")
+    if not np.all(np.isfinite(data)):
+        raise InvalidParameterError(f"{path}: calibration data must be finite")
     dv, i_out = data[:, 0], data[:, 1]
     if np.any(i_out <= 0):
-        raise InvalidParameterError("calibration currents must be positive")
+        raise InvalidParameterError(f"{path}: calibration currents must be positive")
     slope = np.polyfit(dv * dv, np.log(i_out), 1)[0]
     gamma = -float(slope)
     if gamma <= 0:
-        raise InvalidParameterError("calibration data does not decay with |dv|")
+        raise InvalidParameterError(f"{path}: calibration data does not decay with |dv|")
     return gamma

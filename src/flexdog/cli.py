@@ -30,14 +30,7 @@ from .cell import (
     sweep_curves,
 )
 from .dog import DEFAULT_SIGMA1, DEFAULT_SIGMA_RATIO, IntensityImage, make_gaussian_kernel
-from .errors import (
-    ConfigurationError,
-    DimensionError,
-    FormatError,
-    InvalidGainError,
-    InvalidParameterError,
-    UnachievableGainError,
-)
+from .errors import ConfigurationError, FormatError, check_range
 from .imageio import (
     PATTERN_NAMES,
     binarize,
@@ -168,10 +161,8 @@ def resolve_settings(args) -> dict:
     for name, setting in SETTINGS.items():
         cli_value = getattr(args, name)
         settings[name] = cli_value if cli_value is not None else filecfg.get(name, setting.default)
-    if not 0.0 <= settings["threshold"] <= 1.0:
-        raise ConfigurationError("threshold must be in [0, 1]")
-    if settings["sigma_ratio"] <= 1.0:
-        raise ConfigurationError("sigma-ratio must exceed 1")
+    check_range("threshold", settings["threshold"], at_least=0.0, at_most=1.0)
+    check_range("sigma-ratio", settings["sigma_ratio"], above=1.0)
     return settings
 
 
@@ -443,14 +434,7 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as exc:
         print(f"flexdog: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (
-        ConfigurationError,
-        InvalidParameterError,
-        DimensionError,
-        InvalidGainError,
-        UnachievableGainError,
-        IndexError,
-    ) as exc:
+    except (ConfigurationError, IndexError) as exc:
         print(f"flexdog: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - map anything else to the invariant code

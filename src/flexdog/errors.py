@@ -3,23 +3,26 @@
 import math
 
 
-class DimensionError(ValueError):
+class ConfigurationError(ValueError):
+    """Inconsistent or unsatisfiable configuration (kernel pairing, CLI options, ...).
+
+    The base of every error a bad setting or argument raises; the CLI maps
+    it and its subclasses to exit code 2."""
+
+
+class DimensionError(ConfigurationError):
     """Image / kernel / frame dimensions are incompatible."""
 
 
-class InvalidParameterError(ValueError):
+class InvalidParameterError(ConfigurationError):
     """A numeric parameter is outside its legal range."""
 
 
-class ConfigurationError(ValueError):
-    """Inconsistent or unsatisfiable configuration (kernel pairing, CLI options, ...)."""
-
-
-class InvalidGainError(ValueError):
+class InvalidGainError(ConfigurationError):
     """Requested cell gain is non-positive."""
 
 
-class UnachievableGainError(ValueError):
+class UnachievableGainError(ConfigurationError):
     """Requested cell gain exceeds the 1/2 peak gain of the Gilbert cell."""
 
 

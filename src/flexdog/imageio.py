@@ -78,6 +78,8 @@ def read_pgm(path) -> IntensityImage:
     if len(raster) < width * height:
         raise FormatError(f"{path}: truncated PGM raster")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    if pixels.max() > maxval:
+        raise FormatError(f"{path}: PGM sample {pixels.max()} exceeds maxval {maxval}")
     return IntensityImage(pixels=pixels.astype(np.float64) / maxval)
 
 

@@ -105,17 +105,6 @@ class AnalogConfig:
 
 
 @dataclass(frozen=True)
-class CurrentFrame:
-    currents: np.ndarray
-
-    def __post_init__(self):
-        currents = np.asarray(self.currents, dtype=np.float64)
-        object.__setattr__(self, "currents", currents)
-        if np.any(currents < 0):
-            raise InvalidParameterError("currents must be nonnegative")
-
-
-@dataclass(frozen=True)
 class CodeFrame:
     """ADC codes; signed after digital subtraction, float in bypass mode.
     ``oracle`` is the digital DoG oracle in the same code units (float)."""
@@ -152,32 +141,39 @@ def draw_variation(
     )
 
 
-def sense(image: IntensityImage, i_in_nominal: float, sample: VariationSample) -> CurrentFrame:
+def sense(image: IntensityImage, i_in_nominal: float, sample: VariationSample) -> np.ndarray:
     """Photodetector stage: intensity -> current, with per-pixel mismatch."""
+    check_range("i_in_nominal", i_in_nominal, above=0)
     if sample.sensor_mult.shape[-2:] != image.pixels.shape:
         raise DimensionError(
             f"variation sample shape {sample.sensor_mult.shape} does not match "
             f"image shape {image.pixels.shape}"
         )
-    return CurrentFrame(currents=image.pixels * i_in_nominal * sample.sensor_mult)
+    if np.any(sample.sensor_mult < 0):
+        raise InvalidParameterError(
+            f"sensor multipliers must be nonnegative, got {float(sample.sensor_mult.min())}")
+    return image.pixels * i_in_nominal * sample.sensor_mult
 
 
-def analog_convolve(frame: CurrentFrame, pk: ProgrammedKernel, sample: VariationSample) -> CurrentFrame:
+def analog_convolve(currents: np.ndarray, pk: ProgrammedKernel, sample: VariationSample) -> np.ndarray:
     """Kirchhoff summation of the per-cell output currents.
 
     Each cell multiplies its input current by its two cell factors and then by
     its gain multiplier, and the products are summed in the cell grid's
     row-major order, so results are deterministic regardless of how callers
-    parallelize.  Frames may carry leading trial axes (..., H, W), with the
+    parallelize.  Currents may carry leading trial axes (..., H, W), with the
     sample's multipliers shaped (..., kh, kw).
     """
+    if np.any(sample.gain_mult < 0):
+        raise InvalidParameterError(
+            f"gain multipliers must be nonnegative, got {float(sample.gain_mult.min())}")
     a, b = cell_factors(pk.dv_grid, pk.params, sample.gamma_mult)
-    return CurrentFrame(correlate_valid(frame.currents, a, b, sample.gain_mult))
+    return correlate_valid(currents, a, b, sample.gain_mult)
 
 
-def to_voltage(frame: CurrentFrame, transimpedance: float) -> np.ndarray:
+def to_voltage(currents: np.ndarray, transimpedance: float) -> np.ndarray:
     check_range("transimpedance", transimpedance, above=0)
-    return frame.currents * transimpedance
+    return currents * transimpedance
 
 
 def quantize(v: np.ndarray, adc: AdcSpec) -> np.ndarray:
@@ -258,12 +254,12 @@ def _analog_codes(image: IntensityImage, chain: _Chain, cfg: AnalogConfig,
                   sample1: VariationSample, sample2: VariationSample):
     """Sensor to signed code difference; samples may carry leading trial axes.
     Returns the codes and both scales' voltages."""
-    frame = sense(image, cfg.cell_params.i_in_nominal, sample1)
-    c1 = analog_convolve(frame, chain.pk1, sample1)
-    c2 = analog_convolve(frame, chain.pk2, sample2)
+    currents = sense(image, cfg.cell_params.i_in_nominal, sample1)
+    c1 = analog_convolve(currents, chain.pk1, sample1)
+    c2 = analog_convolve(currents, chain.pk2, sample2)
     if cfg.settling_error:
-        c1 = CurrentFrame(c1.currents * SETTLING_GAIN)
-        c2 = CurrentFrame(c2.currents * SETTLING_GAIN)
+        c1 *= SETTLING_GAIN
+        c2 *= SETTLING_GAIN
 
     v1 = to_voltage(c1, cfg.transimpedance)
     v2 = to_voltage(c2, cfg.transimpedance)
@@ -352,16 +348,19 @@ def monte_carlo(
 ) -> MonteCarloSummary:
     """Repeat run_dog_pipeline over seeds base_seed..base_seed+n_trials-1.
 
-    Trials are independent; the flip rate compares thresholded edge maps
-    against the oracle's.  Trials run in batches stacked along a leading axis,
-    which gives the same per-trial values as one run_dog_pipeline per seed.
+    Trials are independent.  Each trial's MAE is measured against the digital
+    oracle, as in run_dog_pipeline.  Its flip rate is the share of pixels whose
+    thresholded edge map differs from that of the nominal analog chain (zero
+    variation, ADC bypassed), which is not the oracle's for the sigmoid-product
+    cell.  Trials run in batches stacked along a leading axis, which gives the
+    same per-trial values as one run_dog_pipeline per seed.
     """
     if n_trials < 1:
         raise InvalidParameterError("need at least one trial")
-    # oracle edge map in compensated code units, shared across trials
+    # nominal-chain edge map in compensated code units, shared across trials
     zero_var = replace(cfg, variation=VariationModel(), adc_bypass=True)
-    oracle_frame, _ = run_dog_pipeline(image, k1, k2, zero_var, seed=0)
-    oracle_edges = edge_map(oracle_frame.codes)
+    nominal_frame, _ = run_dog_pipeline(image, k1, k2, zero_var, seed=0)
+    nominal_edges = edge_map(nominal_frame.codes)
 
     chain = _program_chain(image, k1, k2, cfg)
     kshape, ishape = chain.pk1.dv_grid.shape, image.pixels.shape
@@ -378,7 +377,7 @@ def monte_carlo(
         err = np.abs(np.asarray(codes, dtype=np.float64) - chain.oracle_codes)
         for k, t in enumerate(trials):
             maes[t] = err[k].mean()  # one contiguous trial: the per-frame summation order
-        flips[trials.start:trials.stop] = (edge_map(codes) != oracle_edges).mean(axis=(1, 2))
+        flips[trials.start:trials.stop] = (edge_map(codes) != nominal_edges).mean(axis=(1, 2))
     return MonteCarloSummary(
         n_trials=n_trials,
         base_seed=base_seed,

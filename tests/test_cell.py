@@ -198,6 +198,14 @@ class TestCalibration:
         with pytest.raises(InvalidParameterError):
             fit_gamma_from_file(path)
 
+    @pytest.mark.parametrize("text", ["0.0 1e-7\n0.5 abc\n", "0.0 1e-7\n0.5 nan\n",
+                                      "0.0 1e-7\ninf 5e-8\n"])
+    def test_non_numeric_or_non_finite_file_rejected(self, tmp_path, text):
+        path = tmp_path / "sweep.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidParameterError, match="sweep.txt"):
+            fit_gamma_from_file(path)
+
 
 class TestParams:
     def test_invalid_gamma(self):

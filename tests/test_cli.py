@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from flexdog import cli, errors
 from flexdog.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from flexdog.imageio import read_pgm
 
@@ -128,6 +129,33 @@ class TestRun:
 
     def test_bad_sigma_ratio_is_config_error(self):
         assert run_cli("run", "--input", "pattern:step", "--sigma-ratio", "0.5") == EXIT_CONFIG
+
+    def test_nan_sigma_ratio_is_named(self, tmp_path, capsys):
+        assert run_cli("run", "--input", "pattern:step", "--sigma-ratio", "nan",
+                       "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "sigma-ratio" in err and "nan" in err
+
+    def test_pgm_sample_above_maxval_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "over.pgm"
+        path.write_bytes(b"P5 2 2 100\n" + bytes([0xC8, 0, 0, 0]))
+        assert run_cli("run", "--input", str(path), "--out-dir", str(tmp_path / "out")) == EXIT_IO
+        assert "exceeds maxval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["0.0 1e-7\n0.5 abc\n", "0.0 1e-7\n0.5 nan\n"])
+    def test_bad_calibration_file_is_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "sweep.txt"
+        path.write_text(text)
+        assert run_cli("run", "--calibrate", str(path),
+                       "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err
+
+    def test_negative_gain_multiplier_is_config_error(self, tmp_path, capsys):
+        # seed 301 at a 0.3 gain sigma draws one negative gain multiplier on a
+        # checkerboard whose summed currents all stay positive
+        assert run_cli("run", "--input", "pattern:checkerboard", "--variation-gain", "0.3",
+                       "--seed", "301", "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
+        assert "gain multipliers must be nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model", ["ideal-exponential", "sigmoid-product"])
     def test_nonpositive_gamma_multiplier_is_config_error(self, tmp_path, capsys, model):
@@ -254,3 +282,22 @@ class TestPerf:
 
     def test_bad_dimensions(self, tmp_path):
         assert run_cli("perf", "0", "28", "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
+
+
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, Exception)
+                 and c.__module__ == errors.__name__]
+
+
+class TestExitCodes:
+    def test_error_classes_found(self):
+        assert {"FormatError", "ConfigurationError"} <= {c.__name__ for c in ERROR_CLASSES}
+
+    @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_every_error_class_has_its_exit_code(self, tmp_path, monkeypatch, error):
+        def raise_it(args):
+            raise error("raised by the test")
+
+        monkeypatch.setattr(cli, "cmd_perf", raise_it)
+        want = EXIT_IO if error is errors.FormatError else EXIT_CONFIG
+        assert run_cli("perf", "28", "28", "--out-dir", str(tmp_path / "out")) == want

@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flexdog.dog import IntensityImage
 from flexdog.errors import FormatError, InvalidParameterError
@@ -130,6 +131,56 @@ class TestPgm:
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(5))
         with pytest.raises(FormatError):
             read_pgm(path)
+
+    def test_sample_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "over.pgm"
+        path.write_bytes(b"P5 2 2 100\n" + bytes([0xC8, 0, 0, 0]))
+        with pytest.raises(FormatError, match="exceeds maxval"):
+            read_pgm(path)
+
+    def test_sample_at_maxval_is_one(self, tmp_path):
+        path = tmp_path / "max.pgm"
+        path.write_bytes(b"P5 2 1 100\n" + bytes([100, 50]))
+        assert np.array_equal(read_pgm(path).pixels, [[1.0, 0.5]])
+
+
+def _unit_intensities_or_format_error(read):
+    try:
+        image = read()
+    except (FormatError, IndexError):
+        return
+    assert 0.0 <= image.pixels.min() and image.pixels.max() <= 1.0
+
+
+RASTER_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def raster_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("rasters") / "raster"
+
+
+class TestArbitraryRasters:
+    """Well-formed headers over arbitrary raster bytes: a reader returns
+    intensities in [0, 1] or raises FormatError (or IndexError for an IDX
+    image index beyond the file), never anything else."""
+
+    @RASTER_SETTINGS
+    @given(width=st.integers(1, 6), height=st.integers(1, 6), maxval=st.integers(1, 255),
+           data=st.data())
+    def test_pgm(self, raster_path, width, height, maxval, data):
+        raster = data.draw(st.binary(min_size=width * height, max_size=width * height))
+        raster_path.write_bytes(f"P5\n{width} {height}\n{maxval}\n".encode() + raster)
+        _unit_intensities_or_format_error(lambda: read_pgm(raster_path))
+
+    @RASTER_SETTINGS
+    @given(count=st.integers(1, 3), rows=st.integers(1, 6), cols=st.integers(1, 6),
+           index=st.integers(0, 3), data=st.data())
+    def test_idx(self, raster_path, count, rows, cols, index, data):
+        size = count * rows * cols
+        raster = data.draw(st.binary(min_size=size, max_size=size))
+        raster_path.write_bytes(struct.pack(">iiii", 2051, count, rows, cols) + raster)
+        _unit_intensities_or_format_error(lambda: load_idx_image(raster_path, index))
 
 
 class TestVisualization:

@@ -15,7 +15,6 @@ from flexdog.pipeline import (
     MC_BATCH_PIXELS,
     AdcSpec,
     AnalogConfig,
-    CurrentFrame,
     VariationModel,
     VariationSample,
     analog_convolve,
@@ -73,23 +72,34 @@ class TestSense:
     def test_unit_pixels_give_nominal_current(self):
         img = IntensityImage(np.ones((4, 4)))
         frame = sense(img, 100e-9, no_variation_sample((4, 4)))
-        assert np.allclose(frame.currents, 100e-9, rtol=1e-15)
+        assert np.allclose(frame, 100e-9, rtol=1e-15)
 
     def test_zero_image(self):
         img = IntensityImage(np.zeros((4, 4)))
         frame = sense(img, 100e-9, no_variation_sample((4, 4)))
-        assert np.all(frame.currents == 0.0)
+        assert np.all(frame == 0.0)
 
     def test_binary_image_gives_two_level_currents(self):
         pixels = np.zeros((6, 6))
         pixels[2:4, :] = 1.0
         frame = sense(IntensityImage(pixels), 100e-9, no_variation_sample((6, 6)))
-        assert set(np.unique(frame.currents)) == {0.0, 100e-9}
+        assert set(np.unique(frame)) == {0.0, 100e-9}
 
     def test_shape_mismatch_rejected(self):
         img = IntensityImage(np.ones((4, 4)))
         with pytest.raises(DimensionError):
             sense(img, 100e-9, no_variation_sample((5, 5)))
+
+    def test_negative_sensor_multiplier_on_dark_pixel_rejected(self):
+        sample = no_variation_sample((4, 4))
+        sample.sensor_mult[0, 0] = -0.5
+        with pytest.raises(InvalidParameterError, match="sensor multipliers"):
+            sense(IntensityImage(np.zeros((4, 4))), 100e-9, sample)
+
+    @pytest.mark.parametrize("i_in", [0.0, -100e-9, math.nan, math.inf])
+    def test_bad_nominal_current_rejected(self, i_in):
+        with pytest.raises(InvalidParameterError, match="i_in_nominal"):
+            sense(IntensityImage(np.ones((4, 4))), i_in, no_variation_sample((4, 4)))
 
 
 class TestAnalogConvolve:
@@ -104,28 +114,28 @@ class TestAnalogConvolve:
         from flexdog.dog import convolve_valid
 
         digital = convolve_valid(img, K1).values
-        descale = out.currents / (pk.scale * params.i_in_nominal)
+        descale = out / (pk.scale * params.i_in_nominal)
         assert np.allclose(descale, digital, rtol=1e-9)
 
     def test_zero_frame(self):
         pk = program_kernel(K1, CellParams())
-        frame = CurrentFrame(np.zeros((5, 5)))
+        frame = np.zeros((5, 5))
         out = analog_convolve(frame, pk, no_variation_sample((5, 5)))
-        assert np.all(out.currents == 0.0)
+        assert np.all(out == 0.0)
 
     def test_single_pixel_flat_kernel_half_gain(self):
         flat = GaussianKernel(sigma=1.0, half_width=1, weights=np.full((3, 3), 1 / 9))
         pk = program_kernel(flat, CellParams())
         currents = np.zeros((3, 3))
         currents[1, 1] = 80e-9
-        out = analog_convolve(CurrentFrame(currents), pk, no_variation_sample((3, 3)))
-        assert out.currents.shape == (1, 1)
-        assert out.currents[0, 0] == pytest.approx(40e-9, rel=1e-15)
+        out = analog_convolve(currents, pk, no_variation_sample((3, 3)))
+        assert out.shape == (1, 1)
+        assert out[0, 0] == pytest.approx(40e-9, rel=1e-15)
 
     def test_frame_smaller_than_kernel(self):
         pk = program_kernel(K1, CellParams())
         with pytest.raises(DimensionError):
-            analog_convolve(CurrentFrame(np.zeros((2, 2))), pk, no_variation_sample((2, 2)))
+            analog_convolve(np.zeros((2, 2)), pk, no_variation_sample((2, 2)))
 
     @pytest.mark.parametrize("model", [MODEL_IDEAL, MODEL_SIGMOID])
     def test_equals_row_major_sum_of_perturbed_cells(self, model):
@@ -145,9 +155,9 @@ class TestAnalogConvolve:
                 else:
                     steep = params.sigmoid.steepness * math.sqrt(m)
                     cell = replace(params, sigmoid=replace(params.sigmoid, steepness=steep))
-                window = frame.currents[i : i + 8, j : j + 6]
+                window = frame[i : i + 8, j : j + 6]
                 want += sample.gain_mult[i, j] * cell_response(window, pk.dv_grid[i, j], cell)
-        assert np.array_equal(analog_convolve(frame, pk, sample).currents, want)
+        assert np.array_equal(analog_convolve(frame, pk, sample), want)
 
     @pytest.mark.parametrize("model", [MODEL_IDEAL, MODEL_SIGMOID])
     def test_trial_stack_equals_separate_calls(self, model):
@@ -163,10 +173,10 @@ class TestAnalogConvolve:
             sensor_mult=np.stack([s.sensor_mult for s in samples]),
         )
         out = analog_convolve(sense(img, params.i_in_nominal, stacked), pk, stacked)
-        assert out.currents.shape == (4, 7, 9)
+        assert out.shape == (4, 7, 9)
         for t, sample in enumerate(samples):
             single = analog_convolve(sense(img, params.i_in_nominal, sample), pk, sample)
-            assert np.array_equal(out.currents[t], single.currents)
+            assert np.array_equal(out[t], single)
 
     @pytest.mark.parametrize("model", [MODEL_IDEAL, MODEL_SIGMOID])
     @pytest.mark.parametrize("bad", [0.0, -0.2])
@@ -176,27 +186,35 @@ class TestAnalogConvolve:
         sample = no_variation_sample((5, 5))
         sample.gamma_mult[0, 2] = bad
         with pytest.raises(InvalidParameterError):
-            analog_convolve(CurrentFrame(np.ones((5, 5))), pk, sample)
+            analog_convolve(np.ones((5, 5)), pk, sample)
 
     def test_negative_gain_multiplier_rejected(self):
         pk = program_kernel(K1, CellParams())
         sample = no_variation_sample((5, 5))
         sample.gain_mult[:] = -1.0
         with pytest.raises(InvalidParameterError):
-            analog_convolve(CurrentFrame(np.ones((5, 5))), pk, sample)
+            analog_convolve(np.ones((5, 5)), pk, sample)
+
+    def test_one_negative_gain_multiplier_rejected(self):
+        # the summed output stays positive, so only the multiplier shows the fault
+        pk = program_kernel(K1, CellParams())
+        sample = no_variation_sample((5, 5))
+        sample.gain_mult[1, 1] = -0.5
+        with pytest.raises(InvalidParameterError, match="gain multipliers"):
+            analog_convolve(np.ones((5, 5)), pk, sample)
 
 
 class TestVoltageAndAdc:
     def test_ohms_law(self):
-        v = to_voltage(CurrentFrame(np.full((2, 2), 50e-9)), 10e6)
+        v = to_voltage(np.full((2, 2), 50e-9), 10e6)
         assert np.allclose(v, 0.5, rtol=1e-15)
 
     def test_zero_current_zero_volts(self):
-        assert np.all(to_voltage(CurrentFrame(np.zeros((2, 2))), 1e6) == 0.0)
+        assert np.all(to_voltage(np.zeros((2, 2)), 1e6) == 0.0)
 
     def test_linearity(self):
-        frame = CurrentFrame(np.array([[1e-9, 3e-9]]))
-        doubled = CurrentFrame(2 * frame.currents)
+        frame = np.array([[1e-9, 3e-9]])
+        doubled = 2 * frame
         assert np.array_equal(to_voltage(doubled, 5e6), 2 * to_voltage(frame, 5e6))
 
     def test_quantize_endpoints(self):
