@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .dog import GaussianKernel
 from .errors import InvalidGainError, InvalidParameterError, UnachievableGainError, check_range
@@ -139,6 +138,7 @@ def program_kernel(kernel: GaussianKernel, params: CellParams) -> ProgrammedKern
 
 def fit_gaussian(dv: np.ndarray, i_out: np.ndarray) -> tuple[float, float]:
     """Least-squares fit of a * exp(-b * dv^2) to measured samples."""
+    from scipy.optimize import curve_fit  # here, not at the top: it outweighs a `run`
     a0 = float(np.max(i_out))
     popt, _ = curve_fit(
         lambda x, a, b: a * np.exp(-b * x * x), dv, i_out, p0=[a0, 1.0], maxfev=20000

@@ -19,6 +19,10 @@ from .errors import ConfigurationError, DimensionError, InvalidParameterError, c
 DEFAULT_SIGMA1 = 0.85
 DEFAULT_SIGMA_RATIO = math.sqrt(2.0)
 
+# Rows are scanned in strips of about this many values, trial axes included, so
+# each stage's temporaries stay in cache; 2**14-2**16 ran equally fast at 1024^2.
+STRIP_VALUES = 2**15
+
 
 @dataclass(frozen=True)
 class IntensityImage:
@@ -101,6 +105,7 @@ def make_gaussian_kernel(sigma: float, half_width: int, normalize: bool = False)
     x^2 + y^2 only.
     """
     check_range("sigma", sigma, above=0)
+    check_range(f"sigma {sigma} squared", sigma * sigma, above=0)  # no overflow or underflow
     check_range("half_width", half_width, at_least=1)
     offsets = np.arange(-half_width, half_width + 1, dtype=np.float64)
     sq = offsets[:, None] ** 2 + offsets[None, :] ** 2
@@ -110,6 +115,10 @@ def make_gaussian_kernel(sigma: float, half_width: int, normalize: bool = False)
     return GaussianKernel(sigma=sigma, half_width=half_width, weights=weights)
 
 
+def strip_rows(width: int, lead: tuple[int, ...] = ()) -> int:
+    return max(1, STRIP_VALUES // max(1, width * math.prod(lead)))  # at least one row
+
+
 def correlate_valid(pixels: np.ndarray, *factors: np.ndarray) -> np.ndarray:
     """Valid-mode cross-correlation with a fixed row-major accumulation order.
 
@@ -117,7 +126,8 @@ def correlate_valid(pixels: np.ndarray, *factors: np.ndarray) -> np.ndarray:
     cell array passes each cell's factors.  Each tap's window is multiplied by
     every factor grid in turn, left to right, and added in the kernel's
     row-major order, so results do not depend on caller parallelism.  Pixels
-    may carry leading trial axes (..., H, W), factors (..., kh, kw).
+    may carry leading trial axes (..., H, W), factors (..., kh, kw).  Output rows
+    are scanned in strips through one tap buffer: memory beyond the output is O(strip).
     """
     pixels = np.asarray(pixels, dtype=np.float64)
     factors = np.broadcast_arrays(*factors)
@@ -128,14 +138,18 @@ def correlate_valid(pixels: np.ndarray, *factors: np.ndarray) -> np.ndarray:
     oh, ow = h - kh + 1, w - kw + 1
     lead = np.broadcast_shapes(pixels.shape[:-2], factors[0].shape[:-2])
     out = np.zeros((*lead, oh, ow), dtype=np.float64)
-    tap = np.empty_like(out)  # one scratch buffer for every tap
-    for i in range(kh):
-        for j in range(kw):
-            np.multiply(pixels[..., i : i + oh, j : j + ow], factors[0][..., i, j, None, None],
-                        out=tap)
-            for f in factors[1:]:
-                np.multiply(tap, f[..., i, j, None, None], out=tap)
-            out += tap
+    rows = strip_rows(ow, lead)
+    buffer = np.empty((*lead, min(rows, oh), ow), dtype=np.float64)  # one for every tap
+    for r0 in range(0, oh, rows):
+        acc = out[..., r0 : r0 + rows, :]
+        tap = buffer[..., : acc.shape[-2], :]
+        for i in range(kh):
+            for j in range(kw):
+                np.multiply(pixels[..., r0 + i : r0 + i + tap.shape[-2], j : j + ow],
+                            factors[0][..., i, j, None, None], out=tap)
+                for f in factors[1:]:
+                    np.multiply(tap, f[..., i, j, None, None], out=tap)
+                acc += tap
     return out
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 # correlate_valid is bound by name: the benchmark's tracer patches dog.correlate_valid,
 # so the cell array's correlations are timed under pipeline.analog_convolve.
-from .dog import GaussianKernel, IntensityImage, correlate_valid, dog as reference_dog
+from .dog import GaussianKernel, IntensityImage, correlate_valid, dog as reference_dog, strip_rows
 from .cell import CellParams, ProgrammedKernel, cell_factors, program_kernel
 # Not called here; kept importable from this module because the benchmark's
 # tracer binds flexdog.pipeline.cell_response as a boundary.
@@ -29,6 +29,7 @@ DIST_TRUNCNORM = "normal-truncated"
 DIST_LOGNORMAL = "lognormal"
 
 TRUNCATION_SIGMAS = 4.0
+LOGNORMAL_SIGMA_MAX = math.log(np.finfo(float).max) / TRUNCATION_SIGMAS  # exp(4 sigma) finite
 
 # |code| at or above this marks an edge pixel; 2 LSB sits above the
 # quantization noise floor.
@@ -54,8 +55,9 @@ class VariationModel:
     distribution: str = DIST_TRUNCNORM
 
     def __post_init__(self):
+        most = LOGNORMAL_SIGMA_MAX if self.distribution == DIST_LOGNORMAL else None
         for name in ("gamma_rel_sigma", "gain_rel_sigma", "sensor_rel_sigma"):
-            check_range(name, getattr(self, name), at_least=0)
+            check_range(name, getattr(self, name), at_least=0, at_most=most)
         if self.distribution not in (DIST_TRUNCNORM, DIST_LOGNORMAL):
             raise InvalidParameterError(f"unknown distribution {self.distribution!r}")
 
@@ -141,18 +143,20 @@ def draw_variation(
     )
 
 
-def sense(image: IntensityImage, i_in_nominal: float, sample: VariationSample) -> np.ndarray:
-    """Photodetector stage: intensity -> current, with per-pixel mismatch."""
+def sense(image: IntensityImage, i_in_nominal: float, sample: VariationSample,
+          rows: slice = slice(None)) -> np.ndarray:
+    """Photodetector stage: intensity -> current, with per-pixel mismatch, on ``rows``."""
     check_range("i_in_nominal", i_in_nominal, above=0)
     if sample.sensor_mult.shape[-2:] != image.pixels.shape:
         raise DimensionError(
             f"variation sample shape {sample.sensor_mult.shape} does not match "
             f"image shape {image.pixels.shape}"
         )
-    if np.any(sample.sensor_mult < 0):
+    sensor_mult = sample.sensor_mult[..., rows, :]
+    if np.any(sensor_mult < 0):
         raise InvalidParameterError(
             f"sensor multipliers must be nonnegative, got {float(sample.sensor_mult.min())}")
-    return image.pixels * i_in_nominal * sample.sensor_mult
+    return image.pixels[rows] * i_in_nominal * sensor_mult
 
 
 def analog_convolve(currents: np.ndarray, pk: ProgrammedKernel, sample: VariationSample) -> np.ndarray:
@@ -251,28 +255,43 @@ def _draw_samples(cfg: AnalogConfig, kernel_shape, image_shape, seed: int):
 
 
 def _analog_codes(image: IntensityImage, chain: _Chain, cfg: AnalogConfig,
-                  sample1: VariationSample, sample2: VariationSample):
-    """Sensor to signed code difference; samples may carry leading trial axes.
-    Returns the codes and both scales' voltages."""
-    currents = sense(image, cfg.cell_params.i_in_nominal, sample1)
-    c1 = analog_convolve(currents, chain.pk1, sample1)
-    c2 = analog_convolve(currents, chain.pk2, sample2)
-    if cfg.settling_error:
-        c1 *= SETTLING_GAIN
-        c2 *= SETTLING_GAIN
-
-    v1 = to_voltage(c1, cfg.transimpedance)
-    v2 = to_voltage(c2, cfg.transimpedance)
+                  sample1: VariationSample, sample2: VariationSample,
+                  count_saturation: bool = False):
+    """Signed code difference, its absolute error against the oracle codes and,
+    if count_saturation, the saturated voltages of both scales; samples may carry
+    leading trial axes.  Like the hardware's one filter block, it scans strips of
+    output rows, each sensed once for both scales and taken through every stage,
+    so memory beyond the returned full-frame arrays is O(strip)."""
+    oh, ow = chain.oracle_codes.shape
+    rows = strip_rows(image.width, sample1.sensor_mult.shape[:-2])
     adc = chain.adc
-    if cfg.adc_bypass:
-        codes1 = v1 / adc.vref * adc.levels
-        codes2 = v2 / adc.vref * adc.levels
-        diff = codes1 * chain.comp1 - codes2 * chain.comp2
-    else:
-        codes1 = quantize(v1, adc)
-        codes2 = quantize(v2, adc)
-        diff = np.rint(codes1 * chain.comp1 - codes2 * chain.comp2).astype(np.int64)
-    return diff, v1, v2
+    diff, err, sat = None, None, 0
+    for r0 in range(0, oh, rows):
+        window = slice(r0, r0 + rows + image.height - oh)  # input rows; clamped at the end
+        currents = sense(image, cfg.cell_params.i_in_nominal, sample1, window)
+        c1 = analog_convolve(currents, chain.pk1, sample1)
+        c2 = analog_convolve(currents, chain.pk2, sample2)
+        if cfg.settling_error:
+            c1 *= SETTLING_GAIN
+            c2 *= SETTLING_GAIN
+        v1 = to_voltage(c1, cfg.transimpedance)
+        v2 = to_voltage(c2, cfg.transimpedance)
+        if count_saturation:
+            sat += saturation_count(v1, adc.vref) + saturation_count(v2, adc.vref)
+        if cfg.adc_bypass:
+            strip = (v1 / adc.vref * adc.levels * chain.comp1
+                     - v2 / adc.vref * adc.levels * chain.comp2)
+        else:
+            strip = np.rint(quantize(v1, adc) * chain.comp1
+                            - quantize(v2, adc) * chain.comp2).astype(np.int64)
+        strip_err = np.abs(np.asarray(strip, dtype=np.float64) - chain.oracle_codes[r0 : r0 + rows])
+        if rows >= oh:  # the whole frame is one strip
+            return strip, strip_err, sat
+        if diff is None:
+            diff = np.empty((*strip.shape[:-2], oh, ow), dtype=strip.dtype)
+            err = np.empty(diff.shape)
+        diff[..., r0 : r0 + rows, :], err[..., r0 : r0 + rows, :] = strip, strip_err
+    return diff, err, sat
 
 
 def run_dog_pipeline(
@@ -292,10 +311,8 @@ def run_dog_pipeline(
     """
     chain = _program_chain(image, k1, k2, cfg)
     sample1, sample2 = _draw_samples(cfg, chain.pk1.dv_grid.shape, image.pixels.shape, seed)
-    diff, v1, v2 = _analog_codes(image, chain, cfg, sample1, sample2)
+    diff, err, sat = _analog_codes(image, chain, cfg, sample1, sample2, count_saturation=True)
     adc = chain.adc
-    sat = saturation_count(v1, adc.vref) + saturation_count(v2, adc.vref)
-    err = np.abs(np.asarray(diff, dtype=np.float64) - chain.oracle_codes)
 
     i_in = cfg.cell_params.i_in_nominal
     if perf_spec is None:
@@ -373,8 +390,7 @@ def monte_carlo(
         pairs = [_draw_samples(cfg, kshape, ishape, base_seed + t) for t in trials]
         sample1 = _stack([p[0] for p in pairs])
         sample2 = sample1 if cfg.shared_array else _stack([p[1] for p in pairs])
-        codes, _, _ = _analog_codes(image, chain, cfg, sample1, sample2)
-        err = np.abs(np.asarray(codes, dtype=np.float64) - chain.oracle_codes)
+        codes, err, _ = _analog_codes(image, chain, cfg, sample1, sample2)
         for k, t in enumerate(trials):
             maes[t] = err[k].mean()  # one contiguous trial: the per-frame summation order
         flips[trials.start:trials.stop] = (edge_map(codes) != nominal_edges).mean(axis=(1, 2))

@@ -1,5 +1,9 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +154,20 @@ class TestRun:
                        "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option,value", [("--sigma-ratio", "1e300"), ("--sigma1", "1e-200")])
+    def test_sigma_whose_square_leaves_float_range_is_config_error(self, tmp_path, capsys,
+                                                                   option, value):
+        assert run_cli("run", "--input", "pattern:step", option, value,
+                       "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
+        assert "squared" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param", ["gamma", "gain", "sensor"])
+    def test_lognormal_sigma_that_overflows_is_config_error(self, tmp_path, capsys, param):
+        assert run_cli("run", "--input", "pattern:step", "--distribution", "lognormal",
+                       f"--variation-{param}", "1e300",
+                       "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
+        assert f"{param}_rel_sigma must be finite and >= 0 and <= 177.4" in capsys.readouterr().err
+
     def test_negative_gain_multiplier_is_config_error(self, tmp_path, capsys):
         # seed 301 at a 0.3 gain sigma draws one negative gain multiplier on a
         # checkerboard whose summed currents all stay positive
@@ -190,6 +208,11 @@ class TestMonteCarlo:
         assert run_cli("montecarlo", "--input", "pattern:step", "--levels", "a,b",
                        "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
         assert "--levels" in capsys.readouterr().err
+
+    def test_lognormal_level_that_overflows_is_config_error(self, tmp_path):
+        assert run_cli("montecarlo", "--input", "pattern:step", "--levels", "1e300",
+                       "--distribution", "lognormal", "--sweep-param", "gain",
+                       "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
 
     def test_zero_trials_is_config_error(self, tmp_path):
         assert run_cli("montecarlo", "--input", "pattern:step", "--trials", "0",
@@ -301,3 +324,14 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_perf", raise_it)
         want = EXIT_IO if error is errors.FormatError else EXIT_CONFIG
         assert run_cli("perf", "28", "28", "--out-dir", str(tmp_path / "out")) == want
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only `flexdog deviation` fits a curve, so no other command pays scipy's import
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import flexdog.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -81,6 +81,12 @@ class TestMakeGaussianKernel:
         with pytest.raises(InvalidParameterError):
             make_gaussian_kernel(sigma, p)
 
+    @pytest.mark.parametrize("sigma", [1e300, 1e-200])
+    def test_sigma_whose_square_overflows_or_underflows(self, sigma):
+        # the square would be inf or 0 and the weights NaN
+        with pytest.raises(InvalidParameterError, match="squared"):
+            make_gaussian_kernel(sigma, 1)
+
 
 class TestConvolveValid:
     def test_constant_preservation(self):

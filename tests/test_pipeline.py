@@ -67,8 +67,30 @@ class TestVariation:
         with pytest.raises(InvalidParameterError):
             VariationModel(gamma_rel_sigma=-0.1)
 
+    @pytest.mark.parametrize("field", ["gamma_rel_sigma", "gain_rel_sigma", "sensor_rel_sigma"])
+    def test_lognormal_sigma_whose_multiplier_overflows_rejected(self, field):
+        # exp(4 * sigma) overflows above sigma = log(float max) / 4 = 177.44...
+        with pytest.raises(InvalidParameterError, match="<= 177.4"):
+            VariationModel(**{field: 1e300}, distribution=DIST_LOGNORMAL)
+        with pytest.raises(InvalidParameterError, match="<= 177.4"):
+            VariationModel(**{field: 177.5}, distribution=DIST_LOGNORMAL)
+        VariationModel(**{field: 177.4}, distribution=DIST_LOGNORMAL)
+        VariationModel(**{field: 1e300})  # 1 + sigma * z stays finite
+
 
 class TestSense:
+    def test_row_window_matches_full_frame_and_checks_its_rows(self):
+        img = IntensityImage(np.random.default_rng(0).random((6, 5)))
+        sample = draw_variation(VariationModel(sensor_rel_sigma=0.1), (3, 3), (6, 5), seed=1)
+        full = sense(img, 100e-9, sample)
+        assert np.array_equal(sense(img, 100e-9, sample, slice(2, 5)), full[2:5])
+        sensor_mult = sample.sensor_mult.copy()
+        sensor_mult[5, 0] = -0.5
+        bad = replace(sample, sensor_mult=sensor_mult)
+        sense(img, 100e-9, bad, slice(0, 5))  # the window leaves the bad pixel out
+        with pytest.raises(InvalidParameterError, match="-0.5"):
+            sense(img, 100e-9, bad, slice(3, 6))
+
     def test_unit_pixels_give_nominal_current(self):
         img = IntensityImage(np.ones((4, 4)))
         frame = sense(img, 100e-9, no_variation_sample((4, 4)))
