@@ -138,7 +138,7 @@ def program_kernel(kernel: GaussianKernel, params: CellParams) -> ProgrammedKern
 
 def fit_gaussian(dv: np.ndarray, i_out: np.ndarray) -> tuple[float, float]:
     """Least-squares fit of a * exp(-b * dv^2) to measured samples."""
-    from scipy.optimize import curve_fit  # here, not at the top: it outweighs a `run`
+    from scipy.optimize import curve_fit  # here: importing scipy outlasts a whole `run`
     a0 = float(np.max(i_out))
     popt, _ = curve_fit(
         lambda x, a, b: a * np.exp(-b * x * x), dv, i_out, p0=[a0, 1.0], maxfev=20000

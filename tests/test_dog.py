@@ -76,16 +76,11 @@ class TestMakeGaussianKernel:
         assert np.all(k.weights > 0)
 
     @pytest.mark.parametrize("sigma,p", [(0.0, 1), (-1.0, 1), (1.0, 0), (1.0, -2),
-                                         (float("nan"), 1), (float("inf"), 1)])
+                                         (float("nan"), 1), (float("inf"), 1),
+                                         (1e300, 1), (1e-200, 1)])  # sigma**2 is inf or 0
     def test_invalid_parameters(self, sigma, p):
         with pytest.raises(InvalidParameterError):
             make_gaussian_kernel(sigma, p)
-
-    @pytest.mark.parametrize("sigma", [1e300, 1e-200])
-    def test_sigma_whose_square_overflows_or_underflows(self, sigma):
-        # the square would be inf or 0 and the weights NaN
-        with pytest.raises(InvalidParameterError, match="squared"):
-            make_gaussian_kernel(sigma, 1)
 
 
 class TestConvolveValid:
