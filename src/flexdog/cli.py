@@ -104,7 +104,7 @@ SETTINGS = {row.name: row for row in (
     Setting("transimpedance", float, 10e6, "analog chain", "current-to-voltage gain (ohm)"),
     Setting("settle_time", float, 0.5e-6, "analog chain", "per-pixel settling time (s)"),
     Setting("supply", float, 3.3, "performance accounting", "supply voltage (V)"),
-    Setting("parallelism", int, 1, "performance accounting", "concurrent filter blocks"),
+    Setting("parallelism", int, 1, "performance accounting", "modelled filter blocks, not threads"),
     Setting("pixel_mode", (PIXELS_FULL, PIXELS_VALID), PIXELS_FULL, "performance accounting"),
     Setting("adc_separate", bool, False, "performance accounting",
             "bill ADC conversions on top of settling"),

@@ -173,7 +173,8 @@ def dog(image: IntensityImage, k1: GaussianKernel, k2: GaussianKernel) -> DogIma
         raise ConfigurationError(f"need sigma1 < sigma2, got {k1.sigma} >= {k2.sigma}")
     m1 = convolve_valid(image, k1)
     m2 = convolve_valid(image, k2)
-    return DogImage(values=m1.values - m2.values, sigma1=k1.sigma, sigma2=k2.sigma)
+    values = np.subtract(m1.values, m2.values, out=m1.values)  # m1 is ours: no third frame
+    return DogImage(values=values, sigma1=k1.sigma, sigma2=k2.sigma)
 
 
 def op_count(m: int, n: int, p: int) -> OpCount:

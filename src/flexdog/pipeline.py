@@ -4,12 +4,16 @@ Sensor photocurrents -> programmed Gilbert-cell array (with per-device
 process variation) -> Kirchhoff current summation -> transimpedance stage ->
 ADC -> digital subtraction of the two Gaussian scales.  The digital
 subtraction compensates the differing global programming scales of the two
-kernels before differencing, and every run is reproducible from its seed.
+kernels before differencing, and every run is reproducible from its seed:
+trial t of a Monte Carlo sweep draws from seed base_seed + t alone, whatever
+batch or thread draws it.  Large draws run on a second thread while the oracle
+and the previous trial compute.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -35,9 +39,9 @@ LOGNORMAL_SIGMA_MAX = math.log(np.finfo(float).max) / TRUNCATION_SIGMAS  # exp(4
 # quantization noise floor.
 EDGE_THRESHOLD_CODES = 2.0
 
-# monte_carlo stacks max(1, MC_BATCH_PIXELS // (H * W)) trials per batch:
-# enough to share the per-call overhead at small frames, small enough that a
-# batch of large frames costs no more memory than one trial.
+# monte_carlo stacks max(1, MC_BATCH_PIXELS // (H * W)) trials per batch: enough
+# to share the per-call overhead at small frames, few enough that a batch of large
+# frames holds one trial, which is drawn on a second thread (small ones inline).
 MC_BATCH_PIXELS = 2**14
 
 # First-order settling with time constant settle_time / 7 ends within exp(-7) of
@@ -83,6 +87,7 @@ class AdcSpec:
         check_range("ADC bits", self.bits, at_least=1, at_most=53)
         if self.vref is not None:
             check_range("vref", self.vref, above=0)
+            check_range(f"ADC levels / vref {self.vref}", self.levels / self.vref)  # no overflow
         check_range("t_conv", self.t_conv, above=0)
 
     @property
@@ -115,16 +120,19 @@ class CodeFrame:
     oracle: np.ndarray
 
 
-def _multipliers(rng, sigma, shape, distribution):
-    z = rng.standard_normal(shape)
-    # redraw tails so the multiplier stays within +-4 sigma
-    mask = np.abs(z) > TRUNCATION_SIGMAS
-    while np.any(mask):
-        z[mask] = rng.standard_normal(int(mask.sum()))
-        mask = np.abs(z) > TRUNCATION_SIGMAS
+def _multipliers(rng, sigma, out, distribution):
+    """Fill ``out`` in place; standard_normal(out=) draws the stream of standard_normal(shape)."""
+    z = rng.standard_normal(out=out).reshape(-1)
+    # redraw tails, in row-major order, so the multiplier stays within +-4 sigma
+    tails = np.flatnonzero((z < -TRUNCATION_SIGMAS) | (z > TRUNCATION_SIGMAS))
+    while tails.size:
+        z[tails] = rng.standard_normal(tails.size)
+        tails = tails[np.abs(z[tails]) > TRUNCATION_SIGMAS]
+    out *= sigma
     if distribution == DIST_LOGNORMAL:
-        return np.exp(sigma * z)  # median-1 multiplier
-    return 1.0 + sigma * z
+        np.exp(out, out=out)  # median-1 multiplier
+    else:
+        out += 1.0
 
 
 def draw_variation(
@@ -132,15 +140,21 @@ def draw_variation(
     kernel_shape: tuple[int, int],
     image_shape: tuple[int, int],
     seed: int,
+    out: VariationSample | None = None,
 ) -> VariationSample:
     """Seeded draw of all multipliers (numpy PCG64; draw order is fixed:
-    gamma, gain, sensor)."""
+    gamma, gain, sensor), into ``out``'s arrays if given.  A sensor sigma of 0
+    skips the last draw, as 1 + 0*z and exp(0*z) are exactly 1."""
+    if out is None:
+        out = VariationSample(np.empty(kernel_shape), np.empty(kernel_shape), np.empty(image_shape))
     rng = np.random.default_rng(seed)
-    return VariationSample(
-        gamma_mult=_multipliers(rng, model.gamma_rel_sigma, kernel_shape, model.distribution),
-        gain_mult=_multipliers(rng, model.gain_rel_sigma, kernel_shape, model.distribution),
-        sensor_mult=_multipliers(rng, model.sensor_rel_sigma, image_shape, model.distribution),
-    )
+    _multipliers(rng, model.gamma_rel_sigma, out.gamma_mult, model.distribution)
+    _multipliers(rng, model.gain_rel_sigma, out.gain_mult, model.distribution)
+    if model.sensor_rel_sigma == 0:
+        out.sensor_mult.fill(1.0)
+    else:
+        _multipliers(rng, model.sensor_rel_sigma, out.sensor_mult, model.distribution)
+    return out
 
 
 def sense(image: IntensityImage, i_in_nominal: float, sample: VariationSample,
@@ -240,18 +254,48 @@ def _program_chain(image: IntensityImage, k1: GaussianKernel, k2: GaussianKernel
         wide = pk2 if pk2.gain_sum >= pk1.gain_sum else pk1
         adc = replace(adc, vref=default_vref(wide, i_in, cfg.transimpedance))
     s_ref = min(pk1.scale, pk2.scale)
-    oracle_codes = oracle.values * (s_ref * i_in * cfg.transimpedance / adc.vref) * adc.levels
+    oracle_codes = oracle.values  # dog()'s own array, scaled in place: no more frames
+    oracle_codes *= s_ref * i_in * cfg.transimpedance / adc.vref
+    oracle_codes *= adc.levels
     return _Chain(pk1, pk2, adc, s_ref / pk1.scale, s_ref / pk2.scale, oracle_codes)
 
 
-def _draw_samples(cfg: AnalogConfig, kernel_shape, image_shape, seed: int):
-    """The two scales' VariationSamples: one physical array, reprogrammed,
-    unless cfg.shared_array is off."""
-    sample1 = draw_variation(cfg.variation, kernel_shape, image_shape, seed)
-    if cfg.shared_array:
-        return sample1, sample1
-    seed2 = np.random.SeedSequence([seed, 1]).generate_state(1)[0]
-    return sample1, draw_variation(cfg.variation, kernel_shape, image_shape, int(seed2))
+def _trial(sample: VariationSample, k: int) -> VariationSample:
+    return VariationSample(sample.gamma_mult[k], sample.gain_mult[k], sample.sensor_mult[k])
+
+
+def _start_draws(cfg: AnalogConfig, kernel_shape, image_shape, seeds):
+    """Start drawing both scales' VariationSamples (shared unless
+    cfg.shared_array is off) for trials ``seeds``, stacked along a leading
+    trial axis; returns a call that waits for them.  A trial of MC_BATCH_PIXELS
+    pixels or more is drawn on a second thread (numpy fills arrays without the
+    GIL); smaller draws are Python-bound and run when waited for."""
+    shapes = [(len(seeds), *kernel_shape)] * 2 + [(len(seeds), *image_shape)]
+    sample1 = VariationSample(*map(np.empty, shapes))
+    sample2 = sample1 if cfg.shared_array else VariationSample(*map(np.empty, shapes))
+    failed = []
+
+    def draw():
+        try:
+            for k, seed in enumerate(seeds):
+                draw_variation(cfg.variation, kernel_shape, image_shape, seed, _trial(sample1, k))
+                if sample2 is not sample1:  # the second array: the same seed, extended
+                    seed2 = int(np.random.SeedSequence([seed, 1]).generate_state(1)[0])
+                    draw_variation(cfg.variation, kernel_shape, image_shape, seed2, _trial(sample2, k))
+        except BaseException as exc:  # re-raised by wait(), in the caller's thread
+            failed.append(exc)
+
+    def wait():
+        thread.join() if thread else draw()
+        if failed:
+            raise failed[0]
+        return sample1, sample2
+
+    thread = None
+    if math.prod(image_shape) >= MC_BATCH_PIXELS:
+        thread = threading.Thread(target=draw, name="flexdog-draw", daemon=True)
+        thread.start()
+    return wait
 
 
 def _analog_codes(image: IntensityImage, chain: _Chain, cfg: AnalogConfig,
@@ -305,12 +349,14 @@ def run_dog_pipeline(
     """One full analog DoG pass plus oracle error metrics.
 
     Both scales share one VariationSample (one physical array, reprogrammed)
-    unless cfg.shared_array is off.  Code streams from the two scales are
+    unless cfg.shared_array is off; a large frame's sample is drawn on a second
+    thread while the oracle runs.  Code streams from the two scales are
     rescaled to the smaller programming scale before the signed subtraction;
     the compensation factors are carried in the report.
     """
-    chain = _program_chain(image, k1, k2, cfg)
-    sample1, sample2 = _draw_samples(cfg, chain.pk1.dv_grid.shape, image.pixels.shape, seed)
+    wait = _start_draws(cfg, k1.weights.shape, image.pixels.shape, [seed])
+    chain = _program_chain(image, k1, k2, cfg)  # while the draw runs
+    sample1, sample2 = (_trial(sample, 0) for sample in wait())
     diff, err, sat = _analog_codes(image, chain, cfg, sample1, sample2, count_saturation=True)
     adc = chain.adc
 
@@ -346,15 +392,6 @@ class MonteCarloSummary:
     mean_flip_rate: float
 
 
-def _stack(samples: list[VariationSample]) -> VariationSample:
-    """Trials' samples along a leading trial axis."""
-    return VariationSample(
-        gamma_mult=np.stack([s.gamma_mult for s in samples]),
-        gain_mult=np.stack([s.gain_mult for s in samples]),
-        sensor_mult=np.stack([s.sensor_mult for s in samples]),
-    )
-
-
 def monte_carlo(
     image: IntensityImage,
     k1: GaussianKernel,
@@ -369,27 +406,29 @@ def monte_carlo(
     oracle, as in run_dog_pipeline.  Its flip rate is the share of pixels whose
     thresholded edge map differs from that of the nominal analog chain (zero
     variation, ADC bypassed), which is not the oracle's for the sigmoid-product
-    cell.  Trials run in batches stacked along a leading axis, which gives the
-    same per-trial values as one run_dog_pipeline per seed.
+    cell.  Trials run in batches stacked along a leading axis, and the next
+    batch is drawn while one runs.  Trial t's draws depend only on
+    base_seed + t, so the per-trial values equal one run_dog_pipeline per seed.
     """
     if n_trials < 1:
         raise InvalidParameterError("need at least one trial")
+    kshape, ishape = k1.weights.shape, image.pixels.shape
+    batch = max(1, MC_BATCH_PIXELS // (image.height * image.width))
+    seeds = range(base_seed, base_seed + n_trials)
+    wait = _start_draws(cfg, kshape, ishape, seeds[:batch])
     # nominal-chain edge map in compensated code units, shared across trials
     zero_var = replace(cfg, variation=VariationModel(), adc_bypass=True)
     nominal_frame, _ = run_dog_pipeline(image, k1, k2, zero_var, seed=0)
     nominal_edges = edge_map(nominal_frame.codes)
-
     chain = _program_chain(image, k1, k2, cfg)
-    kshape, ishape = chain.pk1.dv_grid.shape, image.pixels.shape
 
     maes = np.empty(n_trials)
     flips = np.empty(n_trials)
-    batch = max(1, MC_BATCH_PIXELS // (image.height * image.width))
     for start in range(0, n_trials, batch):
         trials = range(start, min(start + batch, n_trials))
-        pairs = [_draw_samples(cfg, kshape, ishape, base_seed + t) for t in trials]
-        sample1 = _stack([p[0] for p in pairs])
-        sample2 = sample1 if cfg.shared_array else _stack([p[1] for p in pairs])
+        sample1, sample2 = wait()
+        if trials.stop < n_trials:  # the next batch draws while this one runs
+            wait = _start_draws(cfg, kshape, ishape, seeds[trials.stop : trials.stop + batch])
         codes, err, _ = _analog_codes(image, chain, cfg, sample1, sample2)
         for k, t in enumerate(trials):
             maes[t] = err[k].mean()  # one contiguous trial: the per-frame summation order

@@ -127,6 +127,7 @@ class TestRun:
         ("--variation-gain", "nan"), ("--steepness", "inf"), ("--supply", "nan"),
         ("--bits", "1" + "0" * 400),  # too large for a float
         ("--sigma-ratio", "1e300"), ("--sigma1", "1e-200"),  # sigma**2 is inf or 0
+        ("--vref", "1e-320"),  # levels / vref is inf
     ])
     def test_non_finite_or_out_of_range_setting_is_config_error(self, tmp_path, option, value):
         assert run_cli("run", "--input", "pattern:step", option, value,

@@ -1,10 +1,12 @@
 import itertools
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from flexdog import pipeline
 from flexdog.cell import MODEL_IDEAL, MODEL_SIGMOID, CellParams, cell_response, program_kernel
 from flexdog.dog import GaussianKernel, IntensityImage, dog, make_gaussian_kernel
 from flexdog.errors import ConfigurationError, DimensionError, InvalidParameterError
@@ -37,6 +39,27 @@ def no_variation_sample(image_shape, kernel_shape=(3, 3)):
     return draw_variation(VariationModel(), kernel_shape, image_shape, seed=0)
 
 
+@pytest.fixture
+def normal_sizes(monkeypatch):
+    """Sizes of the standard_normal draws requested from any default_rng, in any thread."""
+    sizes = []
+    real_rng = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_normal(self, size=None, out=None):
+            sizes.append(math.prod(np.shape(out) if out is not None else np.atleast_1d(size)))
+            return self.rng.standard_normal(size, out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    return sizes
+
+
 class TestVariation:
     def test_same_seed_reproduces_multipliers(self):
         model = VariationModel(0.1, 0.2, 0.05)
@@ -66,6 +89,28 @@ class TestVariation:
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidParameterError):
             VariationModel(gamma_rel_sigma=-0.1)
+
+    @pytest.mark.parametrize("distribution", [DIST_TRUNCNORM, DIST_LOGNORMAL])
+    def test_zero_sensor_sigma_skips_the_image_sized_draw(self, normal_sizes, distribution):
+        skipped = draw_variation(VariationModel(0.1, 0.2, 0.0, distribution), (3, 3), (64, 48), 5)
+        assert normal_sizes and max(normal_sizes) < 64 * 48
+        # the sensor is the last draw, so skipping it moves no other value
+        drawn = draw_variation(VariationModel(0.1, 0.2, 0.05, distribution), (3, 3), (64, 48), 5)
+        assert np.array_equal(skipped.gamma_mult, drawn.gamma_mult)
+        assert np.array_equal(skipped.gain_mult, drawn.gain_mult)
+        assert np.all(skipped.sensor_mult == 1.0)
+
+    def test_zero_sensor_sigma_frame_makes_no_image_sized_draw(self, normal_sizes):
+        img = IntensityImage(np.random.default_rng(3).random((130, 130)))
+        run_dog_pipeline(img, K1, K2, AnalogConfig(variation=VariationModel(0.05, 0.05)), seed=1)
+        assert normal_sizes and max(normal_sizes) < 130 * 130
+
+    def test_monte_carlo_nominal_pass_makes_no_image_sized_draw(self, normal_sizes):
+        img = IntensityImage(np.random.default_rng(3).random((28, 28)))
+        monte_carlo(img, K1, K2, AnalogConfig(variation=VariationModel(0.05, 0.05, 0.05)),
+                    n_trials=2, base_seed=7)
+        assert sorted(normal_sizes)[-2:] == [28 * 28, 28 * 28]  # one per trial, none nominal
+        assert normal_sizes.count(28 * 28) == 2
 
     @pytest.mark.parametrize("field", ["gamma_rel_sigma", "gain_rel_sigma", "sensor_rel_sigma"])
     def test_lognormal_sigma_whose_multiplier_overflows_rejected(self, field):
@@ -274,6 +319,19 @@ class TestVoltageAndAdc:
         with pytest.raises(ConfigurationError):
             quantize(np.array(0.5), AdcSpec())
 
+    def test_vref_whose_code_scale_overflows_rejected(self):
+        # quantize and the oracle's code scale multiply by levels / vref
+        for bits, vref in ((8, 1e-320), (8, 1e-306), (53, 1e-293)):
+            with pytest.raises(InvalidParameterError, match="levels / vref"):
+                AdcSpec(bits=bits, vref=vref)
+        AdcSpec(bits=8, vref=1e-300)
+        AdcSpec(bits=8, vref=1e-293)
+
+    def test_derived_vref_whose_code_scale_overflows_rejected(self):
+        cfg = AnalogConfig(cell_params=CellParams(i_in_nominal=1e-318), transimpedance=1.0)
+        with pytest.raises(InvalidParameterError, match="levels / vref"):
+            run_dog_pipeline(IntensityImage(np.ones((6, 6))), K1, K2, cfg, seed=0)
+
 
 class TestRunDogPipeline:
     def test_constant_image_all_zero_codes(self):
@@ -453,6 +511,46 @@ class TestMonteCarlo:
         assert np.array_equal(summary.per_trial_mae, maes)
         assert np.array_equal(summary.per_trial_flip_rate, flips)
         assert summary.mean_mae == float(maes.mean())
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_trials_drawn_on_the_second_thread_equal_per_seed_pipeline(self, shared):
+        assert MC_BATCH_PIXELS // (128 * 128) == 1  # one trial per batch, drawn on the thread
+        img = self.binary_image(size=128)
+        cfg = AnalogConfig(variation=VariationModel(0.05, 0.05, 0.05), shared_array=shared)
+        summary = monte_carlo(img, K1, K2, cfg, n_trials=3, base_seed=60)
+        maes, flips = self.per_seed_loop(img, K1, K2, cfg, 3, 60)
+        assert np.array_equal(summary.per_trial_mae, maes)
+        assert np.array_equal(summary.per_trial_flip_rate, flips)
+
+    def test_failed_draw_on_the_second_thread_reaches_the_caller(self, monkeypatch):
+        class DrawFailed(Exception):
+            pass
+
+        img = self.binary_image(size=128)
+        cfg = AnalogConfig(variation=VariationModel(0.05, 0.05, 0.05))
+        frame, report = run_dog_pipeline(img, K1, K2, cfg, seed=3)
+        summary = monte_carlo(img, K1, K2, cfg, n_trials=3, base_seed=20)
+        real_draw = pipeline.draw_variation
+        threads = []
+
+        def failing_draw(model, kernel_shape, image_shape, seed, out=None):
+            threads.append(threading.current_thread())
+            if seed in (3, 21):  # the frame's draw, and trial 1's while trial 0 runs
+                raise DrawFailed(seed)
+            return real_draw(model, kernel_shape, image_shape, seed, out)
+
+        monkeypatch.setattr(pipeline, "draw_variation", failing_draw)
+        with pytest.raises(DrawFailed):
+            run_dog_pipeline(img, K1, K2, cfg, seed=3)
+        with pytest.raises(DrawFailed):
+            monte_carlo(img, K1, K2, cfg, n_trials=3, base_seed=20)
+        assert threading.main_thread() not in threads
+        monkeypatch.undo()
+        again, again_report = run_dog_pipeline(img, K1, K2, cfg, seed=3)
+        assert np.array_equal(again.codes, frame.codes) and again_report == report
+        rerun = monte_carlo(img, K1, K2, cfg, n_trials=3, base_seed=20)
+        assert np.array_equal(rerun.per_trial_mae, summary.per_trial_mae)
+        assert np.array_equal(rerun.per_trial_flip_rate, summary.per_trial_flip_rate)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(InvalidParameterError):

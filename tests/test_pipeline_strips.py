@@ -8,7 +8,9 @@ digest, hashed as in ``test_pipeline_golden.case_digest``, over a
 ``run_dog_pipeline`` pass; the digests were computed by the full-frame
 implementation that preceded the strip scan.  ``correlate_valid`` is checked
 against direct per-output references on shapes that put one row, or part of
-one strip, or leading trial axes through the strip loop.
+one strip, or leading trial axes through the strip loop.  These frames are
+large enough that their variation is drawn on a second thread; the golden
+corpus's 28x28 frames are drawn inline.
 """
 
 import hashlib
@@ -26,7 +28,14 @@ from flexdog.dog import (
     correlate_valid,
     make_gaussian_kernel,
 )
-from flexdog.pipeline import AnalogConfig, VariationModel, monte_carlo, run_dog_pipeline
+from flexdog.imageio import make_pattern
+from flexdog.pipeline import (
+    MC_BATCH_PIXELS,
+    AnalogConfig,
+    VariationModel,
+    monte_carlo,
+    run_dog_pipeline,
+)
 
 MODELS = {"ideal": MODEL_IDEAL, "sigmoid": MODEL_SIGMOID}
 SHAPES = {"257x1031": (257, 1031), "1031x61": (1031, 61)}
@@ -97,6 +106,16 @@ def test_adc_cases_saturate():
     _, report = run_dog_pipeline(seeded_image(257, 1031), *kernels(1),
                                  config("ideal", True, False), seed=SEED)
     assert report.saturation_count > 0
+
+
+def test_corpora_pin_both_sides_of_the_draw_thread_gate():
+    # a frame of MC_BATCH_PIXELS or more is drawn on a second thread and a smaller
+    # one inline; whatever the constant, the two corpora must pin both paths
+    from test_pipeline_golden import CASES as GOLDEN_CASES
+
+    pixels = {make_pattern(case[0]).pixels.size for case in GOLDEN_CASES.values()}
+    pixels |= {h * w for h, w in SHAPES.values()}
+    assert min(pixels) < MC_BATCH_PIXELS <= max(pixels)
 
 
 def _windows(pixels, factors):
