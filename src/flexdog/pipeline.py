@@ -12,8 +12,8 @@ and the previous trial compute.
 
 from __future__ import annotations
 
+import _thread
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -265,15 +265,15 @@ def _trial(sample: VariationSample, k: int) -> VariationSample:
 
 
 def _start_draws(cfg: AnalogConfig, kernel_shape, image_shape, seeds):
-    """Start drawing both scales' VariationSamples (shared unless
-    cfg.shared_array is off) for trials ``seeds``, stacked along a leading
-    trial axis; returns a call that waits for them.  A trial of MC_BATCH_PIXELS
-    pixels or more is drawn on a second thread (numpy fills arrays without the
-    GIL); smaller draws are Python-bound and run when waited for."""
+    """Start drawing both scales' VariationSamples (shared unless cfg.shared_array
+    is off) for trials ``seeds``, stacked on a leading axis; returns a call that
+    waits for them.  Trials of MC_BATCH_PIXELS pixels or more are drawn on a second
+    thread, as numpy fills arrays without the GIL; smaller draws are Python-bound."""
     shapes = [(len(seeds), *kernel_shape)] * 2 + [(len(seeds), *image_shape)]
     sample1 = VariationSample(*map(np.empty, shapes))
     sample2 = sample1 if cfg.shared_array else VariationSample(*map(np.empty, shapes))
-    failed = []
+    failed, done = [], _thread.allocate_lock()
+    done.acquire()  # released when the draw ends
 
     def draw():
         try:
@@ -284,17 +284,17 @@ def _start_draws(cfg: AnalogConfig, kernel_shape, image_shape, seeds):
                     draw_variation(cfg.variation, kernel_shape, image_shape, seed2, _trial(sample2, k))
         except BaseException as exc:  # re-raised by wait(), in the caller's thread
             failed.append(exc)
+        done.release()
 
     def wait():
-        thread.join() if thread else draw()
+        done.acquire() if threaded else draw()
         if failed:
             raise failed[0]
         return sample1, sample2
 
-    thread = None
-    if math.prod(image_shape) >= MC_BATCH_PIXELS:
-        thread = threading.Thread(target=draw, name="flexdog-draw", daemon=True)
-        thread.start()
+    threaded = math.prod(image_shape) >= MC_BATCH_PIXELS
+    if threaded:  # threading.Thread.start would wait for the thread to be scheduled
+        _thread.start_new_thread(draw, ())
     return wait
 
 

@@ -534,7 +534,7 @@ class TestMonteCarlo:
         threads = []
 
         def failing_draw(model, kernel_shape, image_shape, seed, out=None):
-            threads.append(threading.current_thread())
+            threads.append(threading.get_ident())
             if seed in (3, 21):  # the frame's draw, and trial 1's while trial 0 runs
                 raise DrawFailed(seed)
             return real_draw(model, kernel_shape, image_shape, seed, out)
@@ -544,7 +544,7 @@ class TestMonteCarlo:
             run_dog_pipeline(img, K1, K2, cfg, seed=3)
         with pytest.raises(DrawFailed):
             monte_carlo(img, K1, K2, cfg, n_trials=3, base_seed=20)
-        assert threading.main_thread() not in threads
+        assert threads and threading.main_thread().ident not in threads
         monkeypatch.undo()
         again, again_report = run_dog_pipeline(img, K1, K2, cfg, seed=3)
         assert np.array_equal(again.codes, frame.codes) and again_report == report
