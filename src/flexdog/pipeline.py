@@ -4,10 +4,9 @@ Sensor photocurrents -> programmed Gilbert-cell array (with per-device
 process variation) -> Kirchhoff current summation -> transimpedance stage ->
 ADC -> digital subtraction of the two Gaussian scales.  The digital
 subtraction compensates the differing global programming scales of the two
-kernels before differencing, and every run is reproducible from its seed:
-trial t of a Monte Carlo sweep draws from seed base_seed + t alone, whatever
-batch or thread draws it.  Large draws run on a second thread while the oracle
-and the previous trial compute.
+kernels before differencing, and every run is reproducible from its seed: trial
+t of a Monte Carlo sweep draws from base_seed + t alone, whatever batch or thread
+draws it (large frames' draws run on a second thread while the caller computes).
 """
 
 from __future__ import annotations
@@ -39,10 +38,11 @@ LOGNORMAL_SIGMA_MAX = math.log(np.finfo(float).max) / TRUNCATION_SIGMAS  # exp(4
 # quantization noise floor.
 EDGE_THRESHOLD_CODES = 2.0
 
-# monte_carlo stacks max(1, MC_BATCH_PIXELS // (H * W)) trials per batch: enough
-# to share the per-call overhead at small frames, few enough that a batch of large
-# frames holds one trial, which is drawn on a second thread (small ones inline).
+# monte_carlo stacks max(1, MC_BATCH_PIXELS // (H * W)) trials per batch:
+# enough to share the per-call overhead at small frames, small enough that a
+# batch of large frames costs no more memory than one trial.
 MC_BATCH_PIXELS = 2**14
+DRAW_THREAD_PIXELS = 2**18  # a trial this large is drawn on a second thread (_start_draws)
 
 # First-order settling with time constant settle_time / 7 ends within exp(-7) of
 # the final value.  settle_time cancels out and does not enter this gain.
@@ -145,8 +145,7 @@ def draw_variation(
     """Seeded draw of all multipliers (numpy PCG64; draw order is fixed:
     gamma, gain, sensor), into ``out``'s arrays if given.  A sensor sigma of 0
     skips the last draw, as 1 + 0*z and exp(0*z) are exactly 1."""
-    if out is None:
-        out = VariationSample(np.empty(kernel_shape), np.empty(kernel_shape), np.empty(image_shape))
+    out = out or VariationSample(np.empty(kernel_shape), np.empty(kernel_shape), np.empty(image_shape))
     rng = np.random.default_rng(seed)
     _multipliers(rng, model.gamma_rel_sigma, out.gamma_mult, model.distribution)
     _multipliers(rng, model.gain_rel_sigma, out.gain_mult, model.distribution)
@@ -267,15 +266,18 @@ def _trial(sample: VariationSample, k: int) -> VariationSample:
 def _start_draws(cfg: AnalogConfig, kernel_shape, image_shape, seeds):
     """Start drawing both scales' VariationSamples (shared unless cfg.shared_array
     is off) for trials ``seeds``, stacked on a leading axis; returns a call that
-    waits for them.  Trials of MC_BATCH_PIXELS pixels or more are drawn on a second
-    thread, as numpy fills arrays without the GIL; smaller draws are Python-bound."""
+    waits for them.  Trials of DRAW_THREAD_PIXELS or more are drawn on a second
+    thread unless the caller gets there first: numpy fills arrays without the GIL,
+    but at 256^2 the draw's GIL handoffs with the strip loop cost what it saved."""
     shapes = [(len(seeds), *kernel_shape)] * 2 + [(len(seeds), *image_shape)]
     sample1 = VariationSample(*map(np.empty, shapes))
     sample2 = sample1 if cfg.shared_array else VariationSample(*map(np.empty, shapes))
-    failed, done = [], _thread.allocate_lock()
+    failed, claimed, done = [], _thread.allocate_lock(), _thread.allocate_lock()
     done.acquire()  # released when the draw ends
 
     def draw():
+        if not claimed.acquire(blocking=False):
+            return  # the other thread has begun it
         try:
             for k, seed in enumerate(seeds):
                 draw_variation(cfg.variation, kernel_shape, image_shape, seed, _trial(sample1, k))
@@ -287,14 +289,14 @@ def _start_draws(cfg: AnalogConfig, kernel_shape, image_shape, seeds):
         done.release()
 
     def wait():
-        done.acquire() if threaded else draw()
+        draw()
+        done.acquire()
         if failed:
             raise failed[0]
         return sample1, sample2
 
-    threaded = math.prod(image_shape) >= MC_BATCH_PIXELS
-    if threaded:  # threading.Thread.start would wait for the thread to be scheduled
-        _thread.start_new_thread(draw, ())
+    if math.prod(image_shape) >= DRAW_THREAD_PIXELS:  # threading.Thread.start would
+        _thread.start_new_thread(draw, ())  # wait for the thread to be scheduled
     return wait
 
 
