@@ -145,7 +145,8 @@ def draw_variation(
     """Seeded draw of all multipliers (numpy PCG64; draw order is fixed:
     gamma, gain, sensor), into ``out``'s arrays if given.  A sensor sigma of 0
     skips the last draw, as 1 + 0*z and exp(0*z) are exactly 1."""
-    out = out or VariationSample(np.empty(kernel_shape), np.empty(kernel_shape), np.empty(image_shape))
+    if out is None:
+        out = VariationSample(np.empty(kernel_shape), np.empty(kernel_shape), np.empty(image_shape))
     rng = np.random.default_rng(seed)
     _multipliers(rng, model.gamma_rel_sigma, out.gamma_mult, model.distribution)
     _multipliers(rng, model.gain_rel_sigma, out.gain_mult, model.distribution)

@@ -102,9 +102,9 @@ class TestVariation:
         assert np.all(skipped.sensor_mult == 1.0)
 
     def test_zero_sensor_sigma_frame_makes_no_image_sized_draw(self, normal_sizes):
-        img = IntensityImage(np.random.default_rng(3).random((130, 130)))
+        img = IntensityImage(np.random.default_rng(3).random((512, 512)))  # drawn on the thread
         run_dog_pipeline(img, K1, K2, AnalogConfig(variation=VariationModel(0.05, 0.05)), seed=1)
-        assert normal_sizes and max(normal_sizes) < 130 * 130
+        assert normal_sizes and max(normal_sizes) < 512 * 512
 
     def test_monte_carlo_nominal_pass_makes_no_image_sized_draw(self, normal_sizes):
         img = IntensityImage(np.random.default_rng(3).random((28, 28)))
