@@ -296,8 +296,9 @@ def _start_draws(cfg: AnalogConfig, kernel_shape, image_shape, seeds):
             raise failed[0]
         return sample1, sample2
 
-    if math.prod(image_shape) >= DRAW_THREAD_PIXELS:  # threading.Thread.start would
-        _thread.start_new_thread(draw, ())  # wait for the thread to be scheduled
+    # no thread for a sensor sigma of 0: without the image-sized fill the draw is Python-bound
+    if cfg.variation.sensor_rel_sigma and math.prod(image_shape) >= DRAW_THREAD_PIXELS:
+        _thread.start_new_thread(draw, ())  # threading.Thread.start would wait for it to run
     return wait
 
 

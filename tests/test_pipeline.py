@@ -102,7 +102,7 @@ class TestVariation:
         assert np.all(skipped.sensor_mult == 1.0)
 
     def test_zero_sensor_sigma_frame_makes_no_image_sized_draw(self, normal_sizes):
-        img = IntensityImage(np.random.default_rng(3).random((512, 512)))  # drawn on the thread
+        img = IntensityImage(np.random.default_rng(3).random((512, 512)))
         run_dog_pipeline(img, K1, K2, AnalogConfig(variation=VariationModel(0.05, 0.05)), seed=1)
         assert normal_sizes and max(normal_sizes) < 512 * 512
 
