@@ -5,13 +5,11 @@ process variation) -> Kirchhoff current summation -> transimpedance stage ->
 ADC -> digital subtraction of the two Gaussian scales.  The digital
 subtraction compensates the differing global programming scales of the two
 kernels before differencing, and every run is reproducible from its seed: trial
-t of a Monte Carlo sweep draws from base_seed + t alone, whatever batch or thread
-draws it (large frames' draws run on a second thread while the caller computes).
+t of a Monte Carlo sweep draws from base_seed + t alone, whatever batch it runs in.
 """
 
 from __future__ import annotations
 
-import _thread
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -42,7 +40,6 @@ EDGE_THRESHOLD_CODES = 2.0
 # enough to share the per-call overhead at small frames, small enough that a
 # batch of large frames costs no more memory than one trial.
 MC_BATCH_PIXELS = 2**14
-DRAW_THREAD_PIXELS = 2**18  # a trial this large is drawn on a second thread (_start_draws)
 
 # First-order settling with time constant settle_time / 7 ends within exp(-7) of
 # the final value.  settle_time cancels out and does not enter this gain.
@@ -264,42 +261,19 @@ def _trial(sample: VariationSample, k: int) -> VariationSample:
     return VariationSample(sample.gamma_mult[k], sample.gain_mult[k], sample.sensor_mult[k])
 
 
-def _start_draws(cfg: AnalogConfig, kernel_shape, image_shape, seeds):
-    """Start drawing both scales' VariationSamples (shared unless cfg.shared_array
-    is off) for trials ``seeds``, stacked on a leading axis; returns a call that
-    waits for them.  Trials of DRAW_THREAD_PIXELS or more are drawn on a second
-    thread unless the caller gets there first: numpy fills arrays without the GIL,
-    but at 256^2 the draw's GIL handoffs with the strip loop cost what it saved."""
+def _draw_samples(cfg: AnalogConfig, kernel_shape, image_shape, seeds):
+    """Both scales' VariationSamples (one physical array, reprogrammed, unless
+    cfg.shared_array is off) for trials ``seeds``, drawn in place into arrays
+    stacked on a leading trial axis."""
     shapes = [(len(seeds), *kernel_shape)] * 2 + [(len(seeds), *image_shape)]
     sample1 = VariationSample(*map(np.empty, shapes))
     sample2 = sample1 if cfg.shared_array else VariationSample(*map(np.empty, shapes))
-    failed, claimed, done = [], _thread.allocate_lock(), _thread.allocate_lock()
-    done.acquire()  # released when the draw ends
-
-    def draw():
-        if not claimed.acquire(blocking=False):
-            return  # the other thread has begun it
-        try:
-            for k, seed in enumerate(seeds):
-                draw_variation(cfg.variation, kernel_shape, image_shape, seed, _trial(sample1, k))
-                if sample2 is not sample1:  # the second array: the same seed, extended
-                    seed2 = int(np.random.SeedSequence([seed, 1]).generate_state(1)[0])
-                    draw_variation(cfg.variation, kernel_shape, image_shape, seed2, _trial(sample2, k))
-        except BaseException as exc:  # re-raised by wait(), in the caller's thread
-            failed.append(exc)
-        done.release()
-
-    def wait():
-        draw()
-        done.acquire()
-        if failed:
-            raise failed[0]
-        return sample1, sample2
-
-    # no thread for a sensor sigma of 0: without the image-sized fill the draw is Python-bound
-    if cfg.variation.sensor_rel_sigma and math.prod(image_shape) >= DRAW_THREAD_PIXELS:
-        _thread.start_new_thread(draw, ())  # threading.Thread.start would wait for it to run
-    return wait
+    for k, seed in enumerate(seeds):
+        draw_variation(cfg.variation, kernel_shape, image_shape, seed, _trial(sample1, k))
+        if sample2 is not sample1:  # the second array: the same seed, extended
+            seed2 = int(np.random.SeedSequence([seed, 1]).generate_state(1)[0])
+            draw_variation(cfg.variation, kernel_shape, image_shape, seed2, _trial(sample2, k))
+    return sample1, sample2
 
 
 def _analog_codes(image: IntensityImage, chain: _Chain, cfg: AnalogConfig,
@@ -353,14 +327,13 @@ def run_dog_pipeline(
     """One full analog DoG pass plus oracle error metrics.
 
     Both scales share one VariationSample (one physical array, reprogrammed)
-    unless cfg.shared_array is off; a large frame's sample is drawn on a second
-    thread while the oracle runs.  Code streams from the two scales are
+    unless cfg.shared_array is off.  Code streams from the two scales are
     rescaled to the smaller programming scale before the signed subtraction;
     the compensation factors are carried in the report.
     """
-    wait = _start_draws(cfg, k1.weights.shape, image.pixels.shape, [seed])
-    chain = _program_chain(image, k1, k2, cfg)  # while the draw runs
-    sample1, sample2 = (_trial(sample, 0) for sample in wait())
+    chain = _program_chain(image, k1, k2, cfg)
+    drawn = _draw_samples(cfg, chain.pk1.dv_grid.shape, image.pixels.shape, [seed])
+    sample1, sample2 = (_trial(sample, 0) for sample in drawn)
     diff, err, sat = _analog_codes(image, chain, cfg, sample1, sample2, count_saturation=True)
     adc = chain.adc
 
@@ -410,29 +383,27 @@ def monte_carlo(
     oracle, as in run_dog_pipeline.  Its flip rate is the share of pixels whose
     thresholded edge map differs from that of the nominal analog chain (zero
     variation, ADC bypassed), which is not the oracle's for the sigmoid-product
-    cell.  Trials run in batches stacked along a leading axis, and the next
-    batch is drawn while one runs.  Trial t's draws depend only on
-    base_seed + t, so the per-trial values equal one run_dog_pipeline per seed.
+    cell.  Trials run in batches stacked along a leading axis.  Trial t's draws
+    depend only on base_seed + t, so the per-trial values equal one
+    run_dog_pipeline per seed.
     """
     if n_trials < 1:
         raise InvalidParameterError("need at least one trial")
-    kshape, ishape = k1.weights.shape, image.pixels.shape
-    batch = max(1, MC_BATCH_PIXELS // (image.height * image.width))
-    seeds = range(base_seed, base_seed + n_trials)
-    wait = _start_draws(cfg, kshape, ishape, seeds[:batch])
     # nominal-chain edge map in compensated code units, shared across trials
     zero_var = replace(cfg, variation=VariationModel(), adc_bypass=True)
     nominal_frame, _ = run_dog_pipeline(image, k1, k2, zero_var, seed=0)
     nominal_edges = edge_map(nominal_frame.codes)
+
     chain = _program_chain(image, k1, k2, cfg)
+    kshape, ishape = chain.pk1.dv_grid.shape, image.pixels.shape
 
     maes = np.empty(n_trials)
     flips = np.empty(n_trials)
+    batch = max(1, MC_BATCH_PIXELS // (image.height * image.width))
     for start in range(0, n_trials, batch):
         trials = range(start, min(start + batch, n_trials))
-        sample1, sample2 = wait()
-        if trials.stop < n_trials:  # the next batch draws while this one runs
-            wait = _start_draws(cfg, kshape, ishape, seeds[trials.stop : trials.stop + batch])
+        seeds = [base_seed + t for t in trials]
+        sample1, sample2 = _draw_samples(cfg, kshape, ishape, seeds)
         codes, err, _ = _analog_codes(image, chain, cfg, sample1, sample2)
         for k, t in enumerate(trials):
             maes[t] = err[k].mean()  # one contiguous trial: the per-frame summation order

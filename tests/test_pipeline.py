@@ -1,12 +1,10 @@
 import itertools
 import math
-import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from flexdog import pipeline
 from flexdog.cell import MODEL_IDEAL, MODEL_SIGMOID, CellParams, cell_response, program_kernel
 from flexdog.dog import GaussianKernel, IntensityImage, dog, make_gaussian_kernel
 from flexdog.errors import ConfigurationError, DimensionError, InvalidParameterError
@@ -14,7 +12,6 @@ from flexdog.perf import runtime
 from flexdog.pipeline import (
     DIST_LOGNORMAL,
     DIST_TRUNCNORM,
-    DRAW_THREAD_PIXELS,
     MC_BATCH_PIXELS,
     AdcSpec,
     AnalogConfig,
@@ -514,52 +511,15 @@ class TestMonteCarlo:
         assert summary.mean_mae == float(maes.mean())
 
     @pytest.mark.parametrize("shared", [True, False])
-    def test_trials_drawn_on_the_second_thread_equal_per_seed_pipeline(self, shared):
-        # one trial per batch, each drawn on the thread while the one before runs
-        assert MC_BATCH_PIXELS // (512 * 512) == 0 and 512 * 512 >= DRAW_THREAD_PIXELS
-        img = self.binary_image(size=512)
+    def test_one_trial_batches_equal_per_seed_pipeline(self, shared):
+        # a frame of MC_BATCH_PIXELS runs one trial per batch
+        assert MC_BATCH_PIXELS // (128 * 128) == 1
+        img = self.binary_image(size=128)
         cfg = AnalogConfig(variation=VariationModel(0.05, 0.05, 0.05), shared_array=shared)
         summary = monte_carlo(img, K1, K2, cfg, n_trials=3, base_seed=60)
         maes, flips = self.per_seed_loop(img, K1, K2, cfg, 3, 60)
         assert np.array_equal(summary.per_trial_mae, maes)
         assert np.array_equal(summary.per_trial_flip_rate, flips)
-
-    def test_failed_draw_on_the_second_thread_reaches_the_caller(self, monkeypatch):
-        class DrawFailed(Exception):
-            pass
-
-        img = self.binary_image(size=512)
-        cfg = AnalogConfig(variation=VariationModel(0.05, 0.05, 0.05))
-        frame, report = run_dog_pipeline(img, K1, K2, cfg, seed=3)
-        summary = monte_carlo(img, K1, K2, cfg, n_trials=3, base_seed=20)
-        real_draw, real_chain = pipeline.draw_variation, pipeline._program_chain
-        failed_in, begun = [], threading.Event()
-
-        def failing_draw(model, kernel_shape, image_shape, seed, out=None):
-            if seed in (3, 20):  # the frame's draw, and trial 0's while the nominal pass runs
-                failed_in.append(threading.get_ident())
-                begun.set()
-                raise DrawFailed(seed)
-            return real_draw(model, kernel_shape, image_shape, seed, out)
-
-        def chain_after_the_draw_began(*args):  # so the caller cannot claim the draw
-            assert begun.wait(timeout=60)
-            return real_chain(*args)
-
-        monkeypatch.setattr(pipeline, "draw_variation", failing_draw)
-        monkeypatch.setattr(pipeline, "_program_chain", chain_after_the_draw_began)
-        with pytest.raises(DrawFailed):
-            run_dog_pipeline(img, K1, K2, cfg, seed=3)
-        begun.clear()
-        with pytest.raises(DrawFailed):
-            monte_carlo(img, K1, K2, cfg, n_trials=3, base_seed=20)
-        assert len(failed_in) == 2 and threading.main_thread().ident not in failed_in
-        monkeypatch.undo()
-        again, again_report = run_dog_pipeline(img, K1, K2, cfg, seed=3)
-        assert np.array_equal(again.codes, frame.codes) and again_report == report
-        rerun = monte_carlo(img, K1, K2, cfg, n_trials=3, base_seed=20)
-        assert np.array_equal(rerun.per_trial_mae, summary.per_trial_mae)
-        assert np.array_equal(rerun.per_trial_flip_rate, summary.per_trial_flip_rate)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(InvalidParameterError):

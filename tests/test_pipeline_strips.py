@@ -8,9 +8,7 @@ digest, hashed as in ``test_pipeline_golden.case_digest``, over a
 ``run_dog_pipeline`` pass; the digests were computed by the full-frame
 implementation that preceded the strip scan.  ``correlate_valid`` is checked
 against direct per-output references on shapes that put one row, or part of
-one strip, or leading trial axes through the strip loop.  The 257x1031 frames
-are large enough that their variation is drawn on a second thread; the golden
-corpus's 28x28 frames, and the 1031x61 ones here, are drawn inline.
+one strip, or leading trial axes through the strip loop.
 """
 
 import hashlib
@@ -30,7 +28,7 @@ from flexdog.dog import (
 )
 from flexdog.imageio import make_pattern
 from flexdog.pipeline import (
-    DRAW_THREAD_PIXELS,
+    MC_BATCH_PIXELS,
     AnalogConfig,
     VariationModel,
     monte_carlo,
@@ -108,14 +106,14 @@ def test_adc_cases_saturate():
     assert report.saturation_count > 0
 
 
-def test_corpora_pin_both_sides_of_the_draw_thread_gate():
-    # a frame of DRAW_THREAD_PIXELS or more is drawn on a second thread and a smaller
-    # one inline; whatever the constant, the two corpora must pin both paths
+def test_corpora_pin_both_sides_of_the_batch_gate():
+    # monte_carlo batches several trials of a frame smaller than MC_BATCH_PIXELS and
+    # runs a larger one trial at a time; whatever the constant, the two corpora's
+    # sweeps must pin both paths
     from test_pipeline_golden import CASES as GOLDEN_CASES
 
     pixels = {make_pattern(case[0]).pixels.size for case in GOLDEN_CASES.values()}
-    pixels |= {h * w for h, w in SHAPES.values()}
-    assert min(pixels) < DRAW_THREAD_PIXELS <= max(pixels)
+    assert max(pixels) < MC_BATCH_PIXELS <= 257 * 1031
 
 
 def _windows(pixels, factors):
