@@ -137,19 +137,25 @@ def correlate_valid(pixels: np.ndarray, *factors: np.ndarray) -> np.ndarray:
         raise DimensionError(f"image {h}x{w} smaller than kernel {kh}x{kw}")
     oh, ow = h - kh + 1, w - kw + 1
     lead = np.broadcast_shapes(pixels.shape[:-2], factors[0].shape[:-2])
-    out = np.zeros((*lead, oh, ow), dtype=np.float64)
+    scale = None  # a first factor that is one value at every tap, applied once per strip
+    if len(factors) > 1 and factors[0].strides[-2:] == (0, 0):
+        scale, factors = factors[0][..., :1, :1], factors[1:]
+    out = np.empty((*lead, oh, ow), dtype=np.float64)
     rows = strip_rows(ow, lead)
     buffer = np.empty((*lead, min(rows, oh), ow), dtype=np.float64)  # one for every tap
     for r0 in range(0, oh, rows):
         acc = out[..., r0 : r0 + rows, :]
         tap = buffer[..., : acc.shape[-2], :]
+        window = pixels[..., r0 : r0 + tap.shape[-2] + kh - 1, :]
+        if scale is not None:
+            window = window * scale
         for i in range(kh):
             for j in range(kw):
-                np.multiply(pixels[..., r0 + i : r0 + i + tap.shape[-2], j : j + ow],
+                np.multiply(window[..., i : i + tap.shape[-2], j : j + ow],
                             factors[0][..., i, j, None, None], out=tap)
                 for f in factors[1:]:
                     np.multiply(tap, f[..., i, j, None, None], out=tap)
-                acc += tap
+                np.add(acc if i or j else 0.0, tap, out=acc)  # 0.0 + the first tap: no zero fill
     return out
 
 

@@ -196,9 +196,10 @@ def quantize(v: np.ndarray, adc: AdcSpec) -> np.ndarray:
     [0, levels].  Requires a concrete vref."""
     if adc.vref is None:
         raise ConfigurationError("AdcSpec.vref unresolved; quantize needs a concrete vref")
-    v = np.asarray(v, dtype=np.float64)
-    x = v / adc.vref * adc.levels
-    return np.clip(np.floor(x + 0.5), 0, adc.levels).astype(np.int64)
+    x = np.divide(v, adc.vref, out=np.empty(np.shape(v)), dtype=np.float64)  # even for 0-d v
+    x *= adc.levels
+    x += 0.5
+    return np.clip(np.floor(x, out=x), 0, adc.levels, out=x).astype(np.int64)[()]
 
 
 def saturation_count(v: np.ndarray, vref: float) -> int:
@@ -304,9 +305,10 @@ def _analog_codes(image: IntensityImage, chain: _Chain, cfg: AnalogConfig,
             strip = (v1 / adc.vref * adc.levels * chain.comp1
                      - v2 / adc.vref * adc.levels * chain.comp2)
         else:
-            strip = np.rint(quantize(v1, adc) * chain.comp1
-                            - quantize(v2, adc) * chain.comp2).astype(np.int64)
-        strip_err = np.abs(np.asarray(strip, dtype=np.float64) - chain.oracle_codes[r0 : r0 + rows])
+            strip = np.rint(quantize(v1, adc) * chain.comp1 - quantize(v2, adc) * chain.comp2)
+        strip_err = np.abs(strip - chain.oracle_codes[r0 : r0 + rows])
+        if not cfg.adc_bypass:
+            strip = strip.astype(np.int64)  # integral floats: the error is the same either way
         if rows >= oh:  # the whole frame is one strip
             return strip, strip_err, sat
         if diff is None:

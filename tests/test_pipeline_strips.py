@@ -119,6 +119,7 @@ def test_corpora_pin_both_sides_of_the_batch_gate():
 def _windows(pixels, factors):
     """Per output element, its input window times every factor grid, left to
     right: shape (..., oh, ow, kh * kw) in the kernel's row-major order."""
+    factors = np.broadcast_arrays(*factors)
     kh, kw = factors[0].shape[-2:]
     win = np.lib.stride_tricks.sliding_window_view(pixels, (kh, kw), axis=(-2, -1))
     for f in factors:
@@ -131,7 +132,8 @@ def _windows(pixels, factors):
     ((20, 30), [(5, 5), (5, 5)]),  # the whole frame is less than one strip
     ((3, 120, 300), [(3, 3, 3), (3, 3), (3, 3, 3)]),  # leading trial axes, several strips
     ((90, 400), [(2, 3, 3)]),  # trial axes on the factors only
-], ids=["wide-row", "short", "trials", "factor-trials"])
+    ((2, 70, 600), [(), (2, 3, 3), (3, 3)]),  # a first factor that is one value at every tap
+], ids=["wide-row", "short", "trials", "factor-trials", "scalar-first"])
 def test_correlate_valid_matches_per_output_reference(pixel_shape, factor_shapes):
     rng = np.random.default_rng(list(pixel_shape))
     pixels = rng.random(pixel_shape)
