@@ -39,7 +39,7 @@ def no_variation_sample(image_shape, kernel_shape=(3, 3)):
 
 @pytest.fixture
 def normal_sizes(monkeypatch):
-    """Sizes of the standard_normal draws requested from any default_rng, in any thread."""
+    """Sizes of the standard_normal draws requested from any default_rng."""
     sizes = []
     real_rng = np.random.default_rng
 
