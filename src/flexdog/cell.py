@@ -83,7 +83,8 @@ class DeviationReport:
 
 
 def _logistic(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    with np.errstate(over="ignore"):  # exp(-x) = inf gives the limit 1 / (1 + inf) = 0
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def cell_factors(dv, params: CellParams, gamma_mult=1.0):

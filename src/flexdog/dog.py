@@ -119,27 +119,24 @@ def strip_rows(width: int, lead: tuple[int, ...] = ()) -> int:
     return max(1, STRIP_VALUES // max(1, width * math.prod(lead)))  # at least one row
 
 
-def correlate_valid(pixels: np.ndarray, *factors: np.ndarray) -> np.ndarray:
+def correlate_valid(pixels: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Valid-mode cross-correlation with a fixed row-major accumulation order.
 
-    The oracle passes its kernel weights as the one factor grid; the analog
-    cell array passes each cell's factors.  Each tap's window is multiplied by
-    every factor grid in turn, left to right, and added in the kernel's
-    row-major order, so results do not depend on caller parallelism.  Pixels
-    may carry leading trial axes (..., H, W), factors (..., kh, kw).  Output rows
-    are scanned in strips through one tap buffer: memory beyond the output is O(strip).
+    The oracle passes its kernel weights, the analog cell array each cell's
+    effective weight.  Each tap's window is multiplied by its weight and added
+    in the kernel's row-major order, so results do not depend on caller
+    parallelism.  Pixels may carry leading trial axes (..., H, W), weights
+    (..., kh, kw).  Output rows are scanned in strips through one tap buffer:
+    memory beyond the output is O(strip).
     """
     pixels = np.asarray(pixels, dtype=np.float64)
-    factors = np.broadcast_arrays(*factors)
-    kh, kw = factors[0].shape[-2:]
+    weights = np.asarray(weights, dtype=np.float64)
+    kh, kw = weights.shape[-2:]
     h, w = pixels.shape[-2:]
     if h < kh or w < kw:
         raise DimensionError(f"image {h}x{w} smaller than kernel {kh}x{kw}")
     oh, ow = h - kh + 1, w - kw + 1
-    lead = np.broadcast_shapes(pixels.shape[:-2], factors[0].shape[:-2])
-    scale = None  # a first factor that is one value at every tap, applied once per strip
-    if len(factors) > 1 and factors[0].strides[-2:] == (0, 0):
-        scale, factors = factors[0][..., :1, :1], factors[1:]
+    lead = np.broadcast_shapes(pixels.shape[:-2], weights.shape[:-2])
     out = np.empty((*lead, oh, ow), dtype=np.float64)
     rows = strip_rows(ow, lead)
     buffer = np.empty((*lead, min(rows, oh), ow), dtype=np.float64)  # one for every tap
@@ -147,14 +144,10 @@ def correlate_valid(pixels: np.ndarray, *factors: np.ndarray) -> np.ndarray:
         acc = out[..., r0 : r0 + rows, :]
         tap = buffer[..., : acc.shape[-2], :]
         window = pixels[..., r0 : r0 + tap.shape[-2] + kh - 1, :]
-        if scale is not None:
-            window = window * scale
         for i in range(kh):
             for j in range(kw):
                 np.multiply(window[..., i : i + tap.shape[-2], j : j + ow],
-                            factors[0][..., i, j, None, None], out=tap)
-                for f in factors[1:]:
-                    np.multiply(tap, f[..., i, j, None, None], out=tap)
+                            weights[..., i, j, None, None], out=tap)
                 np.add(acc if i or j else 0.0, tap, out=acc)  # 0.0 + the first tap: no zero fill
     return out
 

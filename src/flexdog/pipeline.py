@@ -2,7 +2,9 @@
 
 Sensor photocurrents -> programmed Gilbert-cell array (with per-device
 process variation) -> Kirchhoff current summation -> transimpedance stage ->
-ADC -> digital subtraction of the two Gaussian scales.  The digital
+ADC -> digital subtraction of the two Gaussian scales.  Each cell multiplies
+its input current by one effective weight: its transfer ratio at its
+programmed bias and perturbed gamma, times its gain multiplier.  The digital
 subtraction compensates the differing global programming scales of the two
 kernels before differencing, and every run is reproducible from its seed: trial
 t of a Monte Carlo sweep draws from base_seed + t alone, whatever batch it runs in.
@@ -132,25 +134,37 @@ def _multipliers(rng, sigma, out, distribution):
         out += 1.0
 
 
+def _largest_multiplier(sigma: float, distribution: str) -> float:
+    """The largest multiplier a draw truncated at +-4 sigma can give."""
+    if distribution == DIST_LOGNORMAL:
+        return math.exp(TRUNCATION_SIGMAS * sigma)  # finite: sigma <= LOGNORMAL_SIGMA_MAX
+    return 1.0 + TRUNCATION_SIGMAS * sigma
+
+
 def draw_variation(
     model: VariationModel,
     kernel_shape: tuple[int, int],
-    image_shape: tuple[int, int],
+    image_shape: tuple[int, int] | None,
     seed: int,
     out: VariationSample | None = None,
 ) -> VariationSample:
     """Seeded draw of all multipliers (numpy PCG64; draw order is fixed:
-    gamma, gain, sensor), into ``out``'s arrays if given.  A sensor sigma of 0
-    skips the last draw, as 1 + 0*z and exp(0*z) are exactly 1."""
+    gamma, gain, sensor), into ``out``'s arrays if given.  1 + 0*z and exp(0*z)
+    are exactly 1, so the draws after the last nonzero sigma are skipped
+    without moving any other value, and with no nonzero sigma no generator is
+    made.  ``image_shape`` None draws gamma and gain only and leaves ``out``'s
+    sensor multipliers as they are: a second cell array shares the one sensor."""
     if out is None:
         out = VariationSample(np.empty(kernel_shape), np.empty(kernel_shape), np.empty(image_shape))
-    rng = np.random.default_rng(seed)
-    _multipliers(rng, model.gamma_rel_sigma, out.gamma_mult, model.distribution)
-    _multipliers(rng, model.gain_rel_sigma, out.gain_mult, model.distribution)
-    if model.sensor_rel_sigma == 0:
-        out.sensor_mult.fill(1.0)
-    else:
-        _multipliers(rng, model.sensor_rel_sigma, out.sensor_mult, model.distribution)
+    draws = [(model.gamma_rel_sigma, out.gamma_mult), (model.gain_rel_sigma, out.gain_mult)]
+    if image_shape is not None:
+        draws.append((model.sensor_rel_sigma, out.sensor_mult))
+    while draws and draws[-1][0] == 0:
+        draws.pop()[1].fill(1.0)
+    if draws:
+        rng = np.random.default_rng(seed)
+        for sigma, values in draws:
+            _multipliers(rng, sigma, values, model.distribution)
     return out
 
 
@@ -173,17 +187,17 @@ def sense(image: IntensityImage, i_in_nominal: float, sample: VariationSample,
 def analog_convolve(currents: np.ndarray, pk: ProgrammedKernel, sample: VariationSample) -> np.ndarray:
     """Kirchhoff summation of the per-cell output currents.
 
-    Each cell multiplies its input current by its two cell factors and then by
-    its gain multiplier, and the products are summed in the cell grid's
-    row-major order, so results are deterministic regardless of how callers
-    parallelize.  Currents may carry leading trial axes (..., H, W), with the
-    sample's multipliers shaped (..., kh, kw).
+    Each cell multiplies its input current by one effective weight, (a*b)*g:
+    its two cell factors a, b times its gain multiplier g.  The products are
+    summed in the cell grid's row-major order, so results are deterministic
+    regardless of how callers parallelize.  Currents may carry leading trial
+    axes (..., H, W), with the sample's multipliers shaped (..., kh, kw).
     """
     if np.any(sample.gain_mult < 0):
         raise InvalidParameterError(
             f"gain multipliers must be nonnegative, got {float(sample.gain_mult.min())}")
     a, b = cell_factors(pk.dv_grid, pk.params, sample.gamma_mult)
-    return correlate_valid(currents, a, b, sample.gain_mult)
+    return correlate_valid(currents, a * b * sample.gain_mult)
 
 
 def to_voltage(currents: np.ndarray, transimpedance: float) -> np.ndarray:
@@ -251,6 +265,13 @@ def _program_chain(image: IntensityImage, k1: GaussianKernel, k2: GaussianKernel
     if adc.vref is None:
         wide = pk2 if pk2.gain_sum >= pk1.gain_sum else pk1
         adc = replace(adc, vref=default_vref(wide, i_in, cfg.transimpedance))
+    # One scalar check for every stage downstream: the largest voltage the
+    # multipliers allow (a cell passes at most its input current) is finite in codes.
+    var = cfg.variation
+    v_max = (i_in * _largest_multiplier(var.sensor_rel_sigma, var.distribution)
+             * pk1.dv_grid.size * _largest_multiplier(var.gain_rel_sigma, var.distribution)
+             * cfg.transimpedance)
+    check_range(f"largest code the variation allows ({v_max} V)", v_max / adc.vref * adc.levels)
     s_ref = min(pk1.scale, pk2.scale)
     oracle_codes = oracle.values  # dog()'s own array, scaled in place: no more frames
     oracle_codes *= s_ref * i_in * cfg.transimpedance / adc.vref
@@ -265,15 +286,18 @@ def _trial(sample: VariationSample, k: int) -> VariationSample:
 def _draw_samples(cfg: AnalogConfig, kernel_shape, image_shape, seeds):
     """Both scales' VariationSamples (one physical array, reprogrammed, unless
     cfg.shared_array is off) for trials ``seeds``, drawn in place into arrays
-    stacked on a leading trial axis."""
-    shapes = [(len(seeds), *kernel_shape)] * 2 + [(len(seeds), *image_shape)]
-    sample1 = VariationSample(*map(np.empty, shapes))
-    sample2 = sample1 if cfg.shared_array else VariationSample(*map(np.empty, shapes))
+    stacked on a leading trial axis.  A second array has its own gamma and gain
+    but senses through the one sensor, so it draws no sensor multipliers."""
+    cells = (len(seeds), *kernel_shape)
+    sample1 = VariationSample(np.empty(cells), np.empty(cells), np.empty((len(seeds), *image_shape)))
+    sample2 = sample1
+    if not cfg.shared_array:
+        sample2 = VariationSample(np.empty(cells), np.empty(cells), sample1.sensor_mult)
     for k, seed in enumerate(seeds):
         draw_variation(cfg.variation, kernel_shape, image_shape, seed, _trial(sample1, k))
         if sample2 is not sample1:  # the second array: the same seed, extended
             seed2 = int(np.random.SeedSequence([seed, 1]).generate_state(1)[0])
-            draw_variation(cfg.variation, kernel_shape, image_shape, seed2, _trial(sample2, k))
+            draw_variation(cfg.variation, kernel_shape, None, seed2, _trial(sample2, k))
     return sample1, sample2
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from flexdog.cell import (
     MODEL_SIGMOID,
     CellParams,
     SigmoidProductParams,
+    cell_factors,
     cell_response,
     fit_gamma_from_file,
     fit_gaussian,
@@ -60,6 +62,15 @@ class TestCellResponse:
         resp = np.asarray(cell_response(1e-7, dv, SIGMOID))
         assert resp.max() <= 1e-7
         assert dv[np.argmax(resp)] == pytest.approx(0.0, abs=1e-12)
+
+    def test_steep_sigmoid_factors_are_finite_without_warning(self):
+        # exp overflows to inf far from the edges; 1 / (1 + inf) = 0 is the limit
+        steep = CellParams(model_kind=MODEL_SIGMOID, sigmoid=SigmoidProductParams(steepness=1e5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factors = cell_factors(np.linspace(-2, 2, 41), steep)
+        for f in factors:
+            assert np.all(np.isfinite(f)) and np.all((f >= 0) & (f <= 1))
 
     @pytest.mark.parametrize("params", [IDEAL, SIGMOID])
     def test_linear_in_input_current(self, params):

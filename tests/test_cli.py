@@ -128,10 +128,18 @@ class TestRun:
         ("--bits", "1" + "0" * 400),  # too large for a float
         ("--sigma-ratio", "1e300"), ("--sigma1", "1e-200"),  # sigma**2 is inf or 0
         ("--vref", "1e-320"),  # levels / vref is inf
+        # each multiplier is finite, but the largest voltage they allow is not
+        ("--transimpedance",
+         "1e300 --distribution lognormal --variation-sensor 177 --adc-bypass"),
     ])
     def test_non_finite_or_out_of_range_setting_is_config_error(self, tmp_path, option, value):
-        assert run_cli("run", "--input", "pattern:step", option, value,
+        assert run_cli("run", "--input", "pattern:step", option, *value.split(),
                        "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
+
+    def test_steep_sigmoid_runs_without_overflow_warning(self, tmp_path):
+        # tier-1 turns warnings into errors, so an overflow warning in exp would exit 3
+        assert run_cli("run", "--input", "pattern:checkerboard", "--model", "sigmoid-product",
+                       "--steepness", "1000", "--out-dir", str(tmp_path / "out")) == EXIT_OK
 
     def test_bad_sigma_ratio_is_config_error(self):
         assert run_cli("run", "--input", "pattern:step", "--sigma-ratio", "0.5") == EXIT_CONFIG
@@ -321,12 +329,22 @@ class TestExitCodes:
         assert run_cli("perf", "28", "28", "--out-dir", str(tmp_path / "out")) == want
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # only `flexdog deviation` fits a curve, so no other command pays scipy's import
+def run_python(code):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import flexdog.cli, sys; assert 'scipy' not in sys.modules"],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only `flexdog deviation` fits a curve, so no other command pays scipy's import
+    run_python("import flexdog.cli, sys; assert 'scipy' not in sys.modules")
+
+
+def test_default_run_leaves_numpy_random_unloaded(tmp_path):
+    # every sigma is 0 by default: nothing is drawn, so no generator is made
+    run_python("import sys; from flexdog.cli import main; "
+               f"assert main(['run', '--input', 'pattern:step', '--out-dir', {str(tmp_path)!r}]) == 0; "
+               "assert 'numpy.random' not in sys.modules")

@@ -17,6 +17,7 @@ from flexdog.pipeline import (
     AnalogConfig,
     VariationModel,
     VariationSample,
+    _draw_samples,
     analog_convolve,
     block_perf_spec,
     draw_variation,
@@ -110,6 +111,36 @@ class TestVariation:
         assert sorted(normal_sizes)[-2:] == [28 * 28, 28 * 28]  # one per trial, none nominal
         assert normal_sizes.count(28 * 28) == 2
 
+    def test_draws_after_the_last_nonzero_sigma_are_skipped(self, normal_sizes):
+        skipped = draw_variation(VariationModel(0.1), (3, 3), (8, 8), seed=5)
+        assert normal_sizes == [9]  # gamma only
+        drawn = draw_variation(VariationModel(0.1, 0.2, 0.05), (3, 3), (8, 8), seed=5)
+        assert np.array_equal(skipped.gamma_mult, drawn.gamma_mult)
+        assert np.all(skipped.gain_mult == 1.0) and np.all(skipped.sensor_mult == 1.0)
+
+    def test_all_zero_sigmas_make_no_generator(self, monkeypatch):
+        def no_generator(seed):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        s = draw_variation(VariationModel(), (3, 3), (5, 7), seed=42)
+        assert np.all(s.gamma_mult == 1.0) and np.all(s.sensor_mult == 1.0)
+
+    @pytest.mark.parametrize("distribution", [DIST_TRUNCNORM, DIST_LOGNORMAL])
+    def test_second_array_shares_the_sensor_and_draws_no_image_sized_normals(
+            self, normal_sizes, distribution):
+        cfg = AnalogConfig(variation=VariationModel(0.1, 0.2, 0.05, distribution),
+                           shared_array=False)
+        sample1, sample2 = _draw_samples(cfg, (3, 3), (64, 48), [5, 6])
+        assert normal_sizes.count(64 * 48) == 2  # one per trial, first array only
+        assert sample2.sensor_mult is sample1.sensor_mult
+        for k, seed in enumerate([5, 6]):
+            # the second array's cells: the draw of a full sample from the extended seed
+            seed2 = int(np.random.SeedSequence([seed, 1]).generate_state(1)[0])
+            full = draw_variation(cfg.variation, (3, 3), (64, 48), seed2)
+            assert np.array_equal(sample2.gamma_mult[k], full.gamma_mult)
+            assert np.array_equal(sample2.gain_mult[k], full.gain_mult)
+
     @pytest.mark.parametrize("field", ["gamma_rel_sigma", "gain_rel_sigma", "sensor_rel_sigma"])
     def test_lognormal_sigma_whose_multiplier_overflows_rejected(self, field):
         # exp(4 * sigma) overflows above sigma = log(float max) / 4 = 177.44...
@@ -167,6 +198,14 @@ class TestSense:
             sense(IntensityImage(np.ones((4, 4))), i_in, no_variation_sample((4, 4)))
 
 
+def perturbed_cell(params, gamma_mult):
+    """CellParams of one cell whose gamma multiplier is ``gamma_mult``."""
+    if params.model_kind == MODEL_IDEAL:
+        return replace(params, gamma=params.gamma * gamma_mult)
+    steep = params.sigmoid.steepness * math.sqrt(gamma_mult)
+    return replace(params, sigmoid=replace(params.sigmoid, steepness=steep))
+
+
 class TestAnalogConvolve:
     def test_matches_digital_oracle_without_variation(self):
         rng = np.random.default_rng(2)
@@ -204,8 +243,9 @@ class TestAnalogConvolve:
 
     @pytest.mark.parametrize("model", [MODEL_IDEAL, MODEL_SIGMOID])
     def test_equals_row_major_sum_of_perturbed_cells(self, model):
-        """Bit for bit: each cell's own perturbed parameters through
-        cell_response, times its gain multiplier, summed in row-major order."""
+        """Bit for bit: each window times its cell's one effective weight, the
+        gain multiplier times the cell's own perturbed response to a unit
+        current, summed in row-major order."""
         params = CellParams(model_kind=model)
         pk = program_kernel(make_gaussian_kernel(0.85, 2, normalize=True), params)
         img = IntensityImage(np.random.default_rng(5).random((12, 10)))
@@ -214,15 +254,32 @@ class TestAnalogConvolve:
         want = np.zeros((8, 6))
         for i in range(5):
             for j in range(5):
-                m = float(sample.gamma_mult[i, j])
-                if model == MODEL_IDEAL:
-                    cell = replace(params, gamma=params.gamma * m)
-                else:
-                    steep = params.sigmoid.steepness * math.sqrt(m)
-                    cell = replace(params, sigmoid=replace(params.sigmoid, steepness=steep))
+                cell = perturbed_cell(params, float(sample.gamma_mult[i, j]))
                 window = frame[i : i + 8, j : j + 6]
-                want += sample.gain_mult[i, j] * cell_response(window, pk.dv_grid[i, j], cell)
+                want += window * (sample.gain_mult[i, j] * cell_response(1.0, pk.dv_grid[i, j], cell))
         assert np.array_equal(analog_convolve(frame, pk, sample), want)
+
+    @pytest.mark.parametrize("distribution", [DIST_TRUNCNORM, DIST_LOGNORMAL])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("model", [MODEL_IDEAL, MODEL_SIGMOID])
+    def test_matches_three_factor_row_major_sum(self, model, p, distribution):
+        """One weight per cell rounds differently from multiplying each window
+        by the cell's factors in turn, ((x*a)*b)*g, but by a few ulp only."""
+        params = CellParams(model_kind=model)
+        pk = program_kernel(make_gaussian_kernel(0.85, p, normalize=True), params)
+        side = 2 * p + 1
+        variation = VariationModel(0.1, 0.1, 0.1, distribution)
+        for seed in range(20):
+            img = IntensityImage(np.random.default_rng([seed, p]).random((14, 11)))
+            sample = draw_variation(variation, (side, side), (14, 11), seed=seed)
+            frame = sense(img, params.i_in_nominal, sample)
+            want = np.zeros((15 - side, 12 - side))
+            for i in range(side):
+                for j in range(side):
+                    cell = perturbed_cell(params, float(sample.gamma_mult[i, j]))
+                    window = frame[i : i + want.shape[0], j : j + want.shape[1]]
+                    want += cell_response(window, pk.dv_grid[i, j], cell) * sample.gain_mult[i, j]
+            np.testing.assert_allclose(analog_convolve(frame, pk, sample), want, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("model", [MODEL_IDEAL, MODEL_SIGMOID])
     def test_trial_stack_equals_separate_calls(self, model):

@@ -82,14 +82,14 @@ GOLDEN = {
     "checkerboard-ideal-shared-adc-truncnorm-exact-P2": "7871fdeda1d2f746515455029c4ea465f39493ece156d63369b8ec2c0382cbea",
     "checkerboard-ideal-shared-adc-truncnorm-settle-P1": "99fcd53ec208668f38f0a8656d5502d2fc10cd8ea26032faa8e48a9e9f483aa1",
     "checkerboard-ideal-shared-adc-truncnorm-settle-P2": "d900c5b1f3a5bad23a9e56dacb5756c4f3b780aaf52922a10a5872be4a094499",
-    "checkerboard-ideal-shared-bypass-lognormal-exact-P1": "4615bb37825212aab3a94de9a4538c7607929330dfbfd11e9a6eedbbd6dea667",
-    "checkerboard-ideal-shared-bypass-lognormal-exact-P2": "e0b95ad91d7e503ce59862b0d816501755d1d0d4d25f59fa1f7940c6c8a08b7e",
-    "checkerboard-ideal-shared-bypass-lognormal-settle-P1": "9f6df6c6789410e3b98dcfdf3bf2e33b30df21b2ce2e3995e35a565172224116",
-    "checkerboard-ideal-shared-bypass-lognormal-settle-P2": "67746027c196a8162a9dd3e06b2cd994f069edd2249d19719bbc58977e44f861",
-    "checkerboard-ideal-shared-bypass-truncnorm-exact-P1": "dc9fa316b8f1daa4947ef1b4a84835e12c1152f573ffe02d948b8d74ecf46015",
-    "checkerboard-ideal-shared-bypass-truncnorm-exact-P2": "35d8ee2e10ab6d67cbbc6256109f5e4a89deaa711339fed157b24415248c37ae",
-    "checkerboard-ideal-shared-bypass-truncnorm-settle-P1": "d738ef3f08a210baa450f4b2c2d0f7380f8a8bd825648af95a9a19251bf8d291",
-    "checkerboard-ideal-shared-bypass-truncnorm-settle-P2": "30679d9b930c7e70c59d445a80616f446e7f9082763d381817bdaa3b5b0d7da0",
+    "checkerboard-ideal-shared-bypass-lognormal-exact-P1": "f3d79c6bf4952b1333a7bcd7d3514e5a41a70d48f6716bdf3327a8882a542c27",
+    "checkerboard-ideal-shared-bypass-lognormal-exact-P2": "e73a6fe7a5653a83e51dbe0dbda4211afbddebc9bd7c3542a4626b61012e50d4",
+    "checkerboard-ideal-shared-bypass-lognormal-settle-P1": "38400770012771c1f765300acc26cf493dd4661d40bec104f878f5c3be24be04",
+    "checkerboard-ideal-shared-bypass-lognormal-settle-P2": "6e82a1637ecc0f9a9b049433b4e6b4c2d12ee814377ae6a425ce22a6eb13cc89",
+    "checkerboard-ideal-shared-bypass-truncnorm-exact-P1": "ce9b302d8f5152e62c6046efd06ee8addd2830fe5e6b94083c00b0c1ce59e8d1",
+    "checkerboard-ideal-shared-bypass-truncnorm-exact-P2": "e3e4e820cc48cfec854f89b6e05a54844a1f80acd91ad93a285caacbca9bdd4a",
+    "checkerboard-ideal-shared-bypass-truncnorm-settle-P1": "b2d60993d815bbe900d346afff92cb6a3e2c6ec52ce957bfab96110e69c3f6cb",
+    "checkerboard-ideal-shared-bypass-truncnorm-settle-P2": "e91c2bc14c3e84475b5b4c6101429338213ca0fefc10ba22044d462a4e144283",
     "checkerboard-ideal-split-adc-lognormal-exact-P1": "025eacfb6b4d1f06eb09a236bfb523b5c7dcd35b927b657fae1345a3df122bd0",
     "checkerboard-ideal-split-adc-lognormal-exact-P2": "e092b01a0f137c881732a6adbbb501ee12ea0621e5ff9d1069632edab0533e24",
     "checkerboard-ideal-split-adc-lognormal-settle-P1": "8ab4fc9c2437c81a55aaf765ffe7dd2771b016563cfed722e425187868774f05",
@@ -98,14 +98,14 @@ GOLDEN = {
     "checkerboard-ideal-split-adc-truncnorm-exact-P2": "910645953ac48695669d94b737a102d6070e5e8719e4b2c5366c38a3ce1e1305",
     "checkerboard-ideal-split-adc-truncnorm-settle-P1": "c01b47b1c891fa9aac2efd1539f093e2810ef4c27cce8277dc487d51a787cb79",
     "checkerboard-ideal-split-adc-truncnorm-settle-P2": "f00fe0208c4ba8c2ca4d6eb68226d2ed4641d40912e626762033f8bba8716cce",
-    "checkerboard-ideal-split-bypass-lognormal-exact-P1": "f4853b39fbae3bd6f1cbeb7b795b317620f62294dbf4574093fd7092c359c5af",
-    "checkerboard-ideal-split-bypass-lognormal-exact-P2": "0d69b49cd1b2cb3a430be9d2fad7ddb4276059cc6dc2107e18d0d63eb7ef4d58",
-    "checkerboard-ideal-split-bypass-lognormal-settle-P1": "24d035c02c1d08b0a886a4dd7b76e22c51a6b08f8b16e301f19e6f4fcbd61332",
-    "checkerboard-ideal-split-bypass-lognormal-settle-P2": "1ccee0eebd7897da250915471e4d9ba467f445c9b9b4c0293533c12ba0874381",
-    "checkerboard-ideal-split-bypass-truncnorm-exact-P1": "eba71eb6c2893b0de8b2ddb2c5fc34378f5e3624a66264ff96f24d0e2d082e79",
-    "checkerboard-ideal-split-bypass-truncnorm-exact-P2": "365e788fcd6c77530a3fab6a0f61b84e9e7e9b66a740909c44ed63a8fbe82270",
-    "checkerboard-ideal-split-bypass-truncnorm-settle-P1": "3984875997819bb35a51ee2a640a1458defde79e1489a70902133fb39099aa99",
-    "checkerboard-ideal-split-bypass-truncnorm-settle-P2": "d9ac6d297cdfcd7f3f1b2774d8f2463fc375585ba2a3fcf5fb8c42d010505ce1",
+    "checkerboard-ideal-split-bypass-lognormal-exact-P1": "b8b84a7e1513d75b622f9a8f096c2c763fcb0cd9e1bd555810b493a421c7c612",
+    "checkerboard-ideal-split-bypass-lognormal-exact-P2": "9351c16fa9f3812a6b33b4b26dd0497eee90b9fa78731995f78eaeb030447081",
+    "checkerboard-ideal-split-bypass-lognormal-settle-P1": "4c251c8d44b5c2348a55847766210f599b33bbeb3faf810c97ebc8619543671d",
+    "checkerboard-ideal-split-bypass-lognormal-settle-P2": "8ac55fc0d8b10c6abc2b4cb42313871834664b100594597c33bd316c5f7ec95a",
+    "checkerboard-ideal-split-bypass-truncnorm-exact-P1": "4331dcb03f3c677eba7ab849446dac8cd7d81947b7d53adf1be4c0885af5b00e",
+    "checkerboard-ideal-split-bypass-truncnorm-exact-P2": "c3bfce30eb62cd191338cd976931611559f2082a910ffc4a7f1a4c44a9a27785",
+    "checkerboard-ideal-split-bypass-truncnorm-settle-P1": "ded0d87d512fa273603abf134c6a6c238a1422af61e9ffc98274af53b3c81994",
+    "checkerboard-ideal-split-bypass-truncnorm-settle-P2": "7e8416e2181445158f919515b0c2f16b5b47d63998c9978a8b27dd366c1316bb",
     "checkerboard-sigmoid-shared-adc-lognormal-exact-P1": "de95d25fce72db611f6ada9273064d8ad29baee7ab8ccf10c6cafb2e759fc95b",
     "checkerboard-sigmoid-shared-adc-lognormal-exact-P2": "da6e33e42cb21388f017e2f573f1573551dfaec03562474926d36dd4c44338e7",
     "checkerboard-sigmoid-shared-adc-lognormal-settle-P1": "45ef3155bfe603ae4101bc6c247d586e43aab6fbd76ec4d437c42bf2ab20cb44",
@@ -114,14 +114,14 @@ GOLDEN = {
     "checkerboard-sigmoid-shared-adc-truncnorm-exact-P2": "2b95edef34c54b61a2122c28d784c37cca75f6a37d64ddb5d9fb1d8ef1ea877f",
     "checkerboard-sigmoid-shared-adc-truncnorm-settle-P1": "8b3a6218bc6c1da2591d46f850c00a2e62eb6b3b7e2e50d771d8fa12f0017e47",
     "checkerboard-sigmoid-shared-adc-truncnorm-settle-P2": "7c7bb2f3326afcfff0366242281fc6dd8c429c3aa26a11b407ef813ab910feda",
-    "checkerboard-sigmoid-shared-bypass-lognormal-exact-P1": "cda213f05f169b519dd41d3906299d732a3f98d757539790c20e700ee3a5a32e",
-    "checkerboard-sigmoid-shared-bypass-lognormal-exact-P2": "71bdc07dd0596bbbd532d5a276e218febab1652294360a87f103b9e019f71562",
-    "checkerboard-sigmoid-shared-bypass-lognormal-settle-P1": "0725ccfdadbef2efa31aace363a0485c1eac5a535330534392ce594480e87ef4",
-    "checkerboard-sigmoid-shared-bypass-lognormal-settle-P2": "2ead62d71cecc75695c43221493109ce0081159fd77c0a6048527afc897fd6e3",
-    "checkerboard-sigmoid-shared-bypass-truncnorm-exact-P1": "724ddf3d40d5321932c13d858f66d2528a6d53be14c5ce3b8057febd0c9932c1",
-    "checkerboard-sigmoid-shared-bypass-truncnorm-exact-P2": "c44d1c7cf9ce99259b3553838219caa2c781c6872f08df0bac027bfe1603bd5d",
-    "checkerboard-sigmoid-shared-bypass-truncnorm-settle-P1": "f1c9a3ff089833c412c57c0b95f22a43dc82f1b3fbdcf65df88e6cc619965427",
-    "checkerboard-sigmoid-shared-bypass-truncnorm-settle-P2": "e39618ec9aa3771599162842d9eccdb4634e895d1e42028b655bcd4e17fbd820",
+    "checkerboard-sigmoid-shared-bypass-lognormal-exact-P1": "d04432302c47ceac43abb5ed5533b5887b4db0f6c320f6f6d6955931b26a6127",
+    "checkerboard-sigmoid-shared-bypass-lognormal-exact-P2": "e0f26de64fd62b5141b6f85b9b80608bfca8c6d9254afa69faf1932211858993",
+    "checkerboard-sigmoid-shared-bypass-lognormal-settle-P1": "7fccc1678a5b9d28c323494221c3d5dcc1e9067c64922f901a991f97a00865ce",
+    "checkerboard-sigmoid-shared-bypass-lognormal-settle-P2": "086f624fd5e8f4ee2c45d58628e6ea4b52ebe6fb830417648516d1cafb50237e",
+    "checkerboard-sigmoid-shared-bypass-truncnorm-exact-P1": "e17df95d260064e1b3671a547b5ce1a1e6728c3f95c323a3d710e5bdea6c4883",
+    "checkerboard-sigmoid-shared-bypass-truncnorm-exact-P2": "c81b3b10b9bfe35de88b40d7a90b7f858a9305ed6d9fab54cd44f89d60b19c55",
+    "checkerboard-sigmoid-shared-bypass-truncnorm-settle-P1": "8b94f0042f5b9bc5f393a51409de45f20e648f740e6adabe8fec700465b7cd87",
+    "checkerboard-sigmoid-shared-bypass-truncnorm-settle-P2": "37df33a2202d365885d4c1d3997d67c625fd129d112e6ea80982fbde492bced0",
     "checkerboard-sigmoid-split-adc-lognormal-exact-P1": "ea333cc10379daede7a70851eb3682f000c5f896f3d43767c2dad260e573e7ed",
     "checkerboard-sigmoid-split-adc-lognormal-exact-P2": "e7259da033f4c038bbfd96ed28ec05b20f46d445a4d928374f6b7c1af4631771",
     "checkerboard-sigmoid-split-adc-lognormal-settle-P1": "fa8c9d66759def3955f5f66e319be00124fe2d567ec1f5cfd90d094a0a02f91d",
@@ -130,14 +130,14 @@ GOLDEN = {
     "checkerboard-sigmoid-split-adc-truncnorm-exact-P2": "2d4aa25f449bc96b55a4a71f84f600d0e32406e8f62817111a97b3eb859b75eb",
     "checkerboard-sigmoid-split-adc-truncnorm-settle-P1": "8a495d1673a45d614bd7205274461f0281eacfbca8fb00ba62624f95a23419f4",
     "checkerboard-sigmoid-split-adc-truncnorm-settle-P2": "6d411ab4d4cd397ae3061153880d8c5a240b4b1ac081a03a114553416ed16711",
-    "checkerboard-sigmoid-split-bypass-lognormal-exact-P1": "0d979febe90d2b47d5541494ae3e681d9deac54ab50496957530051b597863b0",
-    "checkerboard-sigmoid-split-bypass-lognormal-exact-P2": "0f96484c590e3b1e980a0357b45742aa997ef008cbb0b2d1a98e3d211e1361f9",
-    "checkerboard-sigmoid-split-bypass-lognormal-settle-P1": "875b617e3c015b7c91cae11e370d8953cabcb15d2b0e430caef38680565069c3",
-    "checkerboard-sigmoid-split-bypass-lognormal-settle-P2": "247b8aa4db23c33b06807f8e997781a3742e1264f4d7e5bebe3beb84ae829a7c",
-    "checkerboard-sigmoid-split-bypass-truncnorm-exact-P1": "f87e46339d4a3c7b753794cc4203a98171dcb724fd7824626d3ce396838a4ea9",
-    "checkerboard-sigmoid-split-bypass-truncnorm-exact-P2": "bfa30cf09e79775a8cd2693472b258b3d31db7622650fb497acff718be6cd460",
-    "checkerboard-sigmoid-split-bypass-truncnorm-settle-P1": "29056076541b6a2aa1f38a1a20c0bf511ff2b42bbd695cab5eb48b0db66d8b1b",
-    "checkerboard-sigmoid-split-bypass-truncnorm-settle-P2": "3aa6cee20879b10005a372a714c12bc4e329e84fbf0b6a120cc506016fcdc596",
+    "checkerboard-sigmoid-split-bypass-lognormal-exact-P1": "74471c02e5fb3bed1f5ed3c6d7aab9a61fc644da176963bc118a00883217dbf1",
+    "checkerboard-sigmoid-split-bypass-lognormal-exact-P2": "65b243b085d3e935061af98186f05b723ce29b3103e742fd2571356b27c40914",
+    "checkerboard-sigmoid-split-bypass-lognormal-settle-P1": "0e7fc778f894681fc09a2679c2fc995f2f5df0aac8c51b42e49d119992f902b7",
+    "checkerboard-sigmoid-split-bypass-lognormal-settle-P2": "89762623193626d9f149b141e21adbcc6f66be24b8838ce80f5296430324079f",
+    "checkerboard-sigmoid-split-bypass-truncnorm-exact-P1": "ab1317f4082a897479aeb1bfaa8ecc15974dc033ad50c75281ce72e5cfd3d15d",
+    "checkerboard-sigmoid-split-bypass-truncnorm-exact-P2": "87b37072fbc6adec65bc353664f827d4724725566ab2eb2796c836fa51f90b9c",
+    "checkerboard-sigmoid-split-bypass-truncnorm-settle-P1": "9c1b99e8245f8045a897e5212a44377dd9f039ecb6f510e06888f86fdd4277ac",
+    "checkerboard-sigmoid-split-bypass-truncnorm-settle-P2": "57f8eee235474deb1447e63aaa17cf300ba4ea216b8665f7169d0b05b4d6b0a7",
     "constant-ideal-shared-adc-lognormal-exact-P1": "311c9bf0c4758ec0f2b86966c51127f8809b93882ef7d1826b10f89da6269f74",
     "constant-ideal-shared-adc-lognormal-exact-P2": "83457f990e4424291b2147dbafd26379a037d5c14a75244949798f5cfc4dd09c",
     "constant-ideal-shared-adc-lognormal-settle-P1": "22d98317dfbf9a23504e71b7f5c4dfaff46c7d286327de0a846ee5f02211e742",
@@ -146,14 +146,14 @@ GOLDEN = {
     "constant-ideal-shared-adc-truncnorm-exact-P2": "268a7b5871ebcc65453eea2529ac4b079533e50873fd87377a6616a9d0d44535",
     "constant-ideal-shared-adc-truncnorm-settle-P1": "968d381fb611f8ba41a7bb68e819d2921f260f155c78ba7d5b7d88da07f3d66d",
     "constant-ideal-shared-adc-truncnorm-settle-P2": "07b34aa5d5d073abd4c4a7aaf90a240a4a588245bf92d2adefe41e1a1d6f7515",
-    "constant-ideal-shared-bypass-lognormal-exact-P1": "ecc288e95537c496af90346751f115521420b101a64b99626dd884ba80709f74",
-    "constant-ideal-shared-bypass-lognormal-exact-P2": "5e36729b79bccc5fb829950c621af8c4a6201f286317bc4a23f6cb22c4847e8e",
-    "constant-ideal-shared-bypass-lognormal-settle-P1": "51be01337f4845ee09187fea3b6ba7405a22f6efdd2211549823f7037112fa9e",
-    "constant-ideal-shared-bypass-lognormal-settle-P2": "1be5dacce903b04b01a9faaa0e43b9544bc79da064ef49c492bbb3744130224b",
-    "constant-ideal-shared-bypass-truncnorm-exact-P1": "d55a04340bc8eeb4426cb33a3922a6d3ca360698d4b07f2d17643ed157197e2c",
-    "constant-ideal-shared-bypass-truncnorm-exact-P2": "2b1b2c5f54dfa91c241e5721f86db3ff3e60fba6d2c9e8e1994ab39b59bbae21",
-    "constant-ideal-shared-bypass-truncnorm-settle-P1": "537a081968565eb21cd61e087ebd666b0088e85767b48dfc8be224186ba2ed4c",
-    "constant-ideal-shared-bypass-truncnorm-settle-P2": "c4a8ca3f48b33c26ed04ab3bc9def542df605e52ae869a8f7ec8b783a2ac97d7",
+    "constant-ideal-shared-bypass-lognormal-exact-P1": "5c29da8f8a1cad13e3a97ecb98c595b35443d1db623ac05e554d5d613635ca1e",
+    "constant-ideal-shared-bypass-lognormal-exact-P2": "1d0a63e4d8bb80406ca92a0e6bdb73c4d27cc33f2ec7e6880a5e9b755daac6e9",
+    "constant-ideal-shared-bypass-lognormal-settle-P1": "78e947fd69eeff220cbfc2de1677d8d3082bc586dbb06625f20646907e949a66",
+    "constant-ideal-shared-bypass-lognormal-settle-P2": "4af04e3e68929d9546fc63cfe21c0fcbbffd248a1498e9b24ea7cc75baebfc3e",
+    "constant-ideal-shared-bypass-truncnorm-exact-P1": "ccce95283f6503bc37c894f06a9526f7d4da6ded820b5b6947b8b33e48ab4268",
+    "constant-ideal-shared-bypass-truncnorm-exact-P2": "173a18b46576f7ea80de61dfb69607a5ddb80c605ec221c4007827f988719790",
+    "constant-ideal-shared-bypass-truncnorm-settle-P1": "1b18b0b2cace65c5007bb1e097ef2d032e25f6a9d1849fb4dbd41939564655d1",
+    "constant-ideal-shared-bypass-truncnorm-settle-P2": "e643415f788db1d1743155bd840587c50e4d99510039b8bddc6adf6504e7f3fc",
     "constant-ideal-split-adc-lognormal-exact-P1": "5e1791794e2a95274419a78fcfe92d85236bdd4840b8fbe8bc8c8131fa7e2a86",
     "constant-ideal-split-adc-lognormal-exact-P2": "ed67d21e58f02ae7df9db9058bd98e3370ad4ac98edc94d200bb2324ec6e9767",
     "constant-ideal-split-adc-lognormal-settle-P1": "1d7936353674e8e3df9a2da043e458a0381ce692f4a929ed81ee22a3c59043e6",
@@ -162,14 +162,14 @@ GOLDEN = {
     "constant-ideal-split-adc-truncnorm-exact-P2": "f87cd66254065859a382d5dbfedaaf9528a526f995765adf613f93520c126b52",
     "constant-ideal-split-adc-truncnorm-settle-P1": "5c8c3b268551fa3ccd37b38fc13cdd62514ed0b0a80cf0327cdcac2928c8a0c8",
     "constant-ideal-split-adc-truncnorm-settle-P2": "d7c2cc9bbfb071ae56c3f2d8a9db692b3478acd17451b6325f59b9b903e5f891",
-    "constant-ideal-split-bypass-lognormal-exact-P1": "7e9339594665b00a0f3d7d23dc53839ba31287d84e77a8a1bd8c6240fe9a3e5c",
-    "constant-ideal-split-bypass-lognormal-exact-P2": "590bd692bdd7655cd6819389c9ba9df7c5229d7888c95488e3bbee9b4853e3c5",
-    "constant-ideal-split-bypass-lognormal-settle-P1": "8a0b42544f2e71f181e038923ebe65324d249c7cf99eb9a09d6ed6f256290a7f",
-    "constant-ideal-split-bypass-lognormal-settle-P2": "22ef1223937ccf4acc31a92e24d81c6df75c987fa212b4d99fcd875c7f4fde5c",
-    "constant-ideal-split-bypass-truncnorm-exact-P1": "06c78a98552b02ac9c0a46fb94599aafbcf05b33cd3ba4e2d33315e1ea7f4dfd",
-    "constant-ideal-split-bypass-truncnorm-exact-P2": "56babf2570af9ef6c0b4825f57a71beafcb2920e83d080464df197c1b5b3b7c6",
-    "constant-ideal-split-bypass-truncnorm-settle-P1": "ea5329812e0e377e314fd2d5fede4fd6866d98eceafa0b5ab44eea3dadeb98b8",
-    "constant-ideal-split-bypass-truncnorm-settle-P2": "f903f13b4d443adfaac9b47921b063c79f485588d450de67dd378ae23daf8584",
+    "constant-ideal-split-bypass-lognormal-exact-P1": "ed740957f052922769350a6fa45a55c07f752a8cc6b04064fe300c1ac1950baa",
+    "constant-ideal-split-bypass-lognormal-exact-P2": "62a4c04d581250ac2c4d5759c4108e92a9ee94af34f2848367e7797369af5432",
+    "constant-ideal-split-bypass-lognormal-settle-P1": "e8402d5242b89a5b9ce5e2b99e1d8f2cbfbec2894ee57313ee1adb9336eab40c",
+    "constant-ideal-split-bypass-lognormal-settle-P2": "239f87229470321fb316cf4e751aa9aa2b6b3f1eda636a633a728a81dbe920ce",
+    "constant-ideal-split-bypass-truncnorm-exact-P1": "ec867369742dd1238c0d916e613b720e528a0f5592d752184eb96b8bd78860ee",
+    "constant-ideal-split-bypass-truncnorm-exact-P2": "45a58d0fba0942100794fcecd99fe4aea26c4fa2f15148f6f72347c2d48a29bf",
+    "constant-ideal-split-bypass-truncnorm-settle-P1": "3876a519557741e6a9b31b68535b3672d540642c73fc270bdbe4e23951d79b39",
+    "constant-ideal-split-bypass-truncnorm-settle-P2": "94fcf21d0ca260d7d1cac47193377059d0d7b23c316d36ea81d5247fdc00a0c9",
     "constant-sigmoid-shared-adc-lognormal-exact-P1": "3814442d77b65d7871ca686704f8fe3b1691b9b610eb531c5af3038471c33618",
     "constant-sigmoid-shared-adc-lognormal-exact-P2": "a41489efc5806f59ac6f74e096a5d83a4063e219268e59646a57c620bac893cf",
     "constant-sigmoid-shared-adc-lognormal-settle-P1": "3ae0e679b29936cb51da2e26003635d0997a09717a331991f0033f50ce66276b",
@@ -178,14 +178,14 @@ GOLDEN = {
     "constant-sigmoid-shared-adc-truncnorm-exact-P2": "db62e6c7e0ea78ceb29868782fbbcf02fd32942bf9de32fd7235843edc4bcbbd",
     "constant-sigmoid-shared-adc-truncnorm-settle-P1": "91b588482518c1c056988cc81d6168119e26cadf53d9b534382fb08ba313ca21",
     "constant-sigmoid-shared-adc-truncnorm-settle-P2": "0f2f15248ff9fde6ccee7acbcf67f33d510a5dd0a836f154072eb361df73e54f",
-    "constant-sigmoid-shared-bypass-lognormal-exact-P1": "67e40e2f7e53653fb450f498b14869f70a4f0b479eab97f2812b408de08b8e2a",
-    "constant-sigmoid-shared-bypass-lognormal-exact-P2": "c1974f3add28a2d104a98d8c6b7390dbddf907f287b31a4f80597177ae1512f3",
-    "constant-sigmoid-shared-bypass-lognormal-settle-P1": "60f249cf1657cb2ef884f77d43b760b0fdc65e267a7a042f686fa3daad412ef5",
-    "constant-sigmoid-shared-bypass-lognormal-settle-P2": "191f5c6107ff806b7aba4d34900ae746af9372cd5451afaac998ccd32be9cb18",
-    "constant-sigmoid-shared-bypass-truncnorm-exact-P1": "e217ee5ecbbaa006be15d2a1101a6b44c20b613440353222a25dfadc8072c5ff",
-    "constant-sigmoid-shared-bypass-truncnorm-exact-P2": "b9f7190c2d1c14a4d31d1fe324fb850a70fc271693c8262b3ae50f8f49c981b3",
-    "constant-sigmoid-shared-bypass-truncnorm-settle-P1": "9aed060d984df2532f232986b44b30f2435ebc439586a739f4cba9352bbb0710",
-    "constant-sigmoid-shared-bypass-truncnorm-settle-P2": "56dd13620afb467d0c56d34700a2aeabce7361be97c3696ecb5842f7a589492b",
+    "constant-sigmoid-shared-bypass-lognormal-exact-P1": "5f49b4d8d825e9e5327212bbbbc8b4d4a034be13303683ba01083e25d0b7444a",
+    "constant-sigmoid-shared-bypass-lognormal-exact-P2": "e5176f021f4cd6ac5b1aa89e7152583d188b62151b82bcd14edd4b5ec062ef28",
+    "constant-sigmoid-shared-bypass-lognormal-settle-P1": "8f14f31558987ba5218591fba117e4f549713d7cfe2a19aed3c4fd9aefbb12e1",
+    "constant-sigmoid-shared-bypass-lognormal-settle-P2": "01cf1828d098a95b87b84100662eb6201adaebd8919c752dd850cc53321e62a4",
+    "constant-sigmoid-shared-bypass-truncnorm-exact-P1": "dda0a0a597e880a6ad245565193f87910fc452e925fd358fbe21efc1a7e86ebd",
+    "constant-sigmoid-shared-bypass-truncnorm-exact-P2": "f9d28f420f97b95d8815b7b2442514841afaf28c06fe9f59f9efcb95b7dfb548",
+    "constant-sigmoid-shared-bypass-truncnorm-settle-P1": "51d1255abde07ebfa6c36a6e752d8eb8c571960cb1d2098ebef240f160b61087",
+    "constant-sigmoid-shared-bypass-truncnorm-settle-P2": "bfdf1a4156b12b761e2f746130cab17977e438440472e53b419a874f81876869",
     "constant-sigmoid-split-adc-lognormal-exact-P1": "d531f921163869f2292e154b0f31b1124ad9b803841645fa057b7ba301b2af85",
     "constant-sigmoid-split-adc-lognormal-exact-P2": "3fe8e4670a2fc8957d5bd9483be4d1fec29ee2ed5cd4c7446ce9cf5ee8d28f46",
     "constant-sigmoid-split-adc-lognormal-settle-P1": "977d17f0516ce0b8dea60a4920747b9cbf45ec0358e93da6cb9b15dd8b175a14",
@@ -194,14 +194,14 @@ GOLDEN = {
     "constant-sigmoid-split-adc-truncnorm-exact-P2": "ee0d205ff0d8df54b0597c91e802e46f548d11942dab22d0ab00d440549efb22",
     "constant-sigmoid-split-adc-truncnorm-settle-P1": "627e7d74167e3ea8c3f906c060567c39ffb38cde8e4bad4c05f6c6aaffc3d127",
     "constant-sigmoid-split-adc-truncnorm-settle-P2": "00f83f369b0848ee1f6b777aea40eac2161f3cbe81d43f813edcefdb8ac79647",
-    "constant-sigmoid-split-bypass-lognormal-exact-P1": "756cc0fda332812ceffdb816acf99a7db2ca5401797eeeb5fb50448fdd1c7a17",
-    "constant-sigmoid-split-bypass-lognormal-exact-P2": "e663ab7d61d6b2ecf5b3afcfe3a8ad854a194244b6ec1bde766b33e720c749b7",
-    "constant-sigmoid-split-bypass-lognormal-settle-P1": "82db93094d0e2d6e5cc197e7b0fc85b400475e2f95799cc49c33b30165bf7db6",
-    "constant-sigmoid-split-bypass-lognormal-settle-P2": "ca1392ba97f0f7b1ffbc33ee8d4fe517e8e088643f72fc44d95f71518f8526f2",
-    "constant-sigmoid-split-bypass-truncnorm-exact-P1": "3223c853f9025a7af7d8057385691876c706c757e376ca0269a0df1506085814",
-    "constant-sigmoid-split-bypass-truncnorm-exact-P2": "be10a1dbfe39c2f2a1babf8aaf0006289541b585c31088ffef3ccac5988d394a",
-    "constant-sigmoid-split-bypass-truncnorm-settle-P1": "e71883b2e1708b542053789da678a2e9fc563c6fd616d95e4e196d1e778d1232",
-    "constant-sigmoid-split-bypass-truncnorm-settle-P2": "9f09b4f9c65cc21c38acd277a6b8fba9da09e9decc5a5db07bc28bb0dc8cb7fd",
+    "constant-sigmoid-split-bypass-lognormal-exact-P1": "4ad13df8bbfdbcc7e292fc1d4ae440c0d7b377bfa2cb93a5e53d642401d80b17",
+    "constant-sigmoid-split-bypass-lognormal-exact-P2": "0b67d945b28ca4514f90aefff3dcaf86250a14f245a43e6879f7151365d4072f",
+    "constant-sigmoid-split-bypass-lognormal-settle-P1": "1e80ea239d4e866d8daac0b330da0817c305b52bec82f072a5c1f25607d450ef",
+    "constant-sigmoid-split-bypass-lognormal-settle-P2": "e8c0e0da5bca9899dd61bb74f8ab700ced892ce6d2256c33fcdcc1fe125ee1e1",
+    "constant-sigmoid-split-bypass-truncnorm-exact-P1": "22d5d7e5600096726afe1102bc510c83682ddcb19f21de8b7ba2bc03baac9b0d",
+    "constant-sigmoid-split-bypass-truncnorm-exact-P2": "2cf93228355f8a36e8b6f7b8315b211954b9240ab0d46a8b37103c5149993a34",
+    "constant-sigmoid-split-bypass-truncnorm-settle-P1": "a98e2a5400aa2b405630c347459d95385df5f54327f2413dd0e653c2822989ec",
+    "constant-sigmoid-split-bypass-truncnorm-settle-P2": "74f0c9ffac4a3ce0167c67ccfcb12a34551b335dc2ec88a7a44777add277b737",
     "dot-ideal-shared-adc-lognormal-exact-P1": "f9d13ee5426aea76e578ae31411cbbf2c01017edaae3886ab46cb5d8cb21a439",
     "dot-ideal-shared-adc-lognormal-exact-P2": "b236ab0c47d8a38510d6d23a8065262be45c4bea01643910e384a7a8b95fa3d4",
     "dot-ideal-shared-adc-lognormal-settle-P1": "9c419f17a311aaf951ff1cc5206ae9e2559e27cd73b93213ce1e40df7e6973c8",
@@ -210,14 +210,14 @@ GOLDEN = {
     "dot-ideal-shared-adc-truncnorm-exact-P2": "3b2cc7234dee06df40d5fd9fcdf656453fd9bcdaa68fccb0b943dd7c23239e38",
     "dot-ideal-shared-adc-truncnorm-settle-P1": "859bc855e9b749de9fb51c374671e5b8bf438a602d4c57e67873a666df419a85",
     "dot-ideal-shared-adc-truncnorm-settle-P2": "6ba9d36676b2141c4324d74150fd094980d29342d0e076354630e11f54199680",
-    "dot-ideal-shared-bypass-lognormal-exact-P1": "b85e61a03914d2012c58e56a3609ac4000d26424555e8acc5857cc2323a5a4f9",
-    "dot-ideal-shared-bypass-lognormal-exact-P2": "5197d78dbdfe058ff927ad98af786eb11a5704fc0fe5bb861b709c32724733e4",
-    "dot-ideal-shared-bypass-lognormal-settle-P1": "910f285f7cbb70c964383f2fc183baba37a156d3a4ff5de64436af105f7d1e8a",
-    "dot-ideal-shared-bypass-lognormal-settle-P2": "c5e88f97c356343982691414dd2fb561b0d0b40dff513029582b64d0dd3c850d",
-    "dot-ideal-shared-bypass-truncnorm-exact-P1": "5cfecb26b947ce339d2c139449c1f5d578b2671dec7b3e1b4f6f9848b3856b8b",
-    "dot-ideal-shared-bypass-truncnorm-exact-P2": "f074f02a12fd2fc49ff06229bf9615e89499057e099f67de88a3f71471a0def9",
-    "dot-ideal-shared-bypass-truncnorm-settle-P1": "bfc070a50583be474cd7ac22c729da0d190a22a52da809874bda7075b73699be",
-    "dot-ideal-shared-bypass-truncnorm-settle-P2": "da904dd128d4a287d86dfc10ef1d140948205cae26239f25b28b9368c9f7fb2a",
+    "dot-ideal-shared-bypass-lognormal-exact-P1": "5457759927f10ad2b3656674da245f8bbd494238c5dce25aa7e115c98ceb10fe",
+    "dot-ideal-shared-bypass-lognormal-exact-P2": "7480b745678e898857dc02502dc107fb93a2fa87b3ea86659b0035a123418092",
+    "dot-ideal-shared-bypass-lognormal-settle-P1": "23068d6944abb34c1051a9095c86ea893b10fdbd4fe194cc3c8ad4555fa3eac9",
+    "dot-ideal-shared-bypass-lognormal-settle-P2": "d05fd3ee05586bd41cffc3d3155b402a96fe87b3eb80d68538c66dae69cbb69e",
+    "dot-ideal-shared-bypass-truncnorm-exact-P1": "80672af18d436c19aac689d6e983fa29eaeed19c122ad6244304ff7ba3fa24ac",
+    "dot-ideal-shared-bypass-truncnorm-exact-P2": "d38e1488de0b383312bacb257b105f97694d9c4e093aeb9b5d55364755255bb5",
+    "dot-ideal-shared-bypass-truncnorm-settle-P1": "5eef8ed2e7dc8fb131a8f646f8edf127c342dbbed1c157bf97843d1c997ea23c",
+    "dot-ideal-shared-bypass-truncnorm-settle-P2": "6cb6db3d4da67fcd7a388c4527de343a28152044694bb6ba2a6b59a38c091b53",
     "dot-ideal-split-adc-lognormal-exact-P1": "33c9716769f3957ecf0809f072c0f7f149cbbb1dec2133ac1d140f5e7744f2de",
     "dot-ideal-split-adc-lognormal-exact-P2": "21869b7e2107d1eb7822bd710c4d907b3b03b702b44c022ebd81ed389c30e447",
     "dot-ideal-split-adc-lognormal-settle-P1": "5ac7a215bd2bb836bca9466988ba2ec2289a0572c3500065e02d52b8ead1c66e",
@@ -226,14 +226,14 @@ GOLDEN = {
     "dot-ideal-split-adc-truncnorm-exact-P2": "c62e8f784dbf9b78654ee00a4bd75a86bb9ad94ab0d37ad64d877d815c239c31",
     "dot-ideal-split-adc-truncnorm-settle-P1": "b4116ab0265d2eef1fc29e71e27e0f26cd36347050adc0227c8c1f10309e97f3",
     "dot-ideal-split-adc-truncnorm-settle-P2": "4d9e0d82ae9d8191971680b92eb3340c53f99718ffa5b7fb4659d1bf47554045",
-    "dot-ideal-split-bypass-lognormal-exact-P1": "e704c6bc95f902f7aefae468b9be036dd1051daaef6f6e4e03dd25107cde0ccf",
-    "dot-ideal-split-bypass-lognormal-exact-P2": "729f5e3d249d7ca7df5418395685120074cbb37e1521c8c32d3bdeacccf79286",
-    "dot-ideal-split-bypass-lognormal-settle-P1": "29cd31fd15009d48b2b74cd87479bbd1de7e15eb445725337f9ec0d9feb8200d",
-    "dot-ideal-split-bypass-lognormal-settle-P2": "05ad452bb44dd61495cbf0fc3ad460159e5ee80cd4dbf073b804c6071ff387a3",
-    "dot-ideal-split-bypass-truncnorm-exact-P1": "e1a60e73b74efd43bdf18b0ff25f29658e92edccf12fe233e6a9890a1a1ac31f",
-    "dot-ideal-split-bypass-truncnorm-exact-P2": "619f1dc041fc7308784a0c4e301d703b3c44424d0fea089975e945c200a26bdb",
-    "dot-ideal-split-bypass-truncnorm-settle-P1": "34e64ea98fed0d4122cb3d11123901c8606a7215602bb003dc07d40258b54e14",
-    "dot-ideal-split-bypass-truncnorm-settle-P2": "2317f14574d183139d5d8b71a62d3d0b17acbe6d60d080de0ce31c7513486cd9",
+    "dot-ideal-split-bypass-lognormal-exact-P1": "5f17009c87e091f649a70d62e94005f418e58f5fd08b61c2496bbe692e8a918c",
+    "dot-ideal-split-bypass-lognormal-exact-P2": "5c494aee26bcda9f93d1c6e7acc67e40e761f63902a0a52fbb909100fe5ac47d",
+    "dot-ideal-split-bypass-lognormal-settle-P1": "fffc1f2b6694dca1305a94fdfe54f0b0f6454d16b9c18d19d14fea7ed29f87a4",
+    "dot-ideal-split-bypass-lognormal-settle-P2": "8cf62655f86379e3ad7c679ecfb71d24746bc4668cf0b5e12ab9760a07a0bfb9",
+    "dot-ideal-split-bypass-truncnorm-exact-P1": "517e08fc132e00fcb96483c6c87f010df0a694ad45c3a2603a1f9cf629b5af0a",
+    "dot-ideal-split-bypass-truncnorm-exact-P2": "96e56a82a06b3aa04c65eb04782765cbbf1e6e637a2f7cd8ac457eaec1afd37c",
+    "dot-ideal-split-bypass-truncnorm-settle-P1": "3d1687e12d3e6b1d3fa4d50d87bc1a9a6dff54ce905b4503d10dd7f2f02e5d4c",
+    "dot-ideal-split-bypass-truncnorm-settle-P2": "3a29d0ecc0bd806d64aa84446149621ac86dc3e97e850989de4e1afc98dde4b7",
     "dot-sigmoid-shared-adc-lognormal-exact-P1": "c894b8ae42936c0e92bb65c5c7792858d1147b42be912ad9077a74cc3bbb0a5f",
     "dot-sigmoid-shared-adc-lognormal-exact-P2": "80ef48caa8c54216c846c3ff7af46477d3a3a66c390018256618ffbccc4b19e8",
     "dot-sigmoid-shared-adc-lognormal-settle-P1": "ca33ce618e54ce89f08db2de756ee3445ab9b764413caf4993feb889b5dd6e21",
@@ -242,14 +242,14 @@ GOLDEN = {
     "dot-sigmoid-shared-adc-truncnorm-exact-P2": "d8fac3e149287dc47463d528ccdd126efcbc23cdbe8f4fa53e1ffb58120ec7c9",
     "dot-sigmoid-shared-adc-truncnorm-settle-P1": "dcc10b7da318a3eb488b1a696db481d81267b7d8f3062827c376f522fae0744e",
     "dot-sigmoid-shared-adc-truncnorm-settle-P2": "021e78a276e518cdaf7c99adee65ce88ba7f4faaf01defbc559cfcb2f88e9c3d",
-    "dot-sigmoid-shared-bypass-lognormal-exact-P1": "8a74c297f69ff7e856bfb4b199f0a35e620d5718d0c475b3b98cbd4d3fced1df",
-    "dot-sigmoid-shared-bypass-lognormal-exact-P2": "6ee58252157e9aa3d8dc76edad7892821a99af32552b4e148530ffc9311f70b5",
-    "dot-sigmoid-shared-bypass-lognormal-settle-P1": "491086e6f3f0150bc57c4653acb664cba01539198d8c679af08ef47bdec34184",
-    "dot-sigmoid-shared-bypass-lognormal-settle-P2": "43974834db6931b1be0d2a0036d0ee8dcf7b4e064b04c72d15d99bd26090480e",
-    "dot-sigmoid-shared-bypass-truncnorm-exact-P1": "e3946f4d633cd3c667cf12a0ad9758dc85e1789b9144a38b976c58a1726ece3d",
-    "dot-sigmoid-shared-bypass-truncnorm-exact-P2": "ef1794992f7110714512981e860a4ad68e08650715eee2a214fae5472abdcdd5",
-    "dot-sigmoid-shared-bypass-truncnorm-settle-P1": "fa8bd3defe812258f81791d5488bae05ebb223faac1c5530a35a214c7fda4316",
-    "dot-sigmoid-shared-bypass-truncnorm-settle-P2": "e8c24087c61fb45f71935f4dcc09014585ec297c91e6cc02bb915ebd9e070736",
+    "dot-sigmoid-shared-bypass-lognormal-exact-P1": "851d39c9a1f1b6d85b2a755448c6f277b7e55973a560130af15fdd684f89034b",
+    "dot-sigmoid-shared-bypass-lognormal-exact-P2": "fad0193ff961f613856d528e717c47d4780aa4b9561c7fb8204125278e92c79c",
+    "dot-sigmoid-shared-bypass-lognormal-settle-P1": "7aebd5646e256880344d94e94f1fd7ab1465715802e38f8cff7e218e3128bcaf",
+    "dot-sigmoid-shared-bypass-lognormal-settle-P2": "ad305c48134fe3c554da581571924ca1ca9abc3b32bc9cd6536b0c6311935114",
+    "dot-sigmoid-shared-bypass-truncnorm-exact-P1": "b1b42e60a55b5f93dfc5c967f6617dac5c30239ffe026aadc0a1e8e8b4e57fe7",
+    "dot-sigmoid-shared-bypass-truncnorm-exact-P2": "a4cc995bfa790bf85b3fd18ffd52ef7b179b52c53018436cd205697c44ae5253",
+    "dot-sigmoid-shared-bypass-truncnorm-settle-P1": "0691ee6b34cfdddfcf068001a6442cae57ed5609c9030d2033c65ccb2f11847d",
+    "dot-sigmoid-shared-bypass-truncnorm-settle-P2": "2523ba04517b434b1fe7c09f307e42f030a5ce7a028aa2b96fa9ed74c5db2c25",
     "dot-sigmoid-split-adc-lognormal-exact-P1": "637a77d09b471a5e09bcf533e61db3b3eae031d4eb6301df1bb1b3b811769cad",
     "dot-sigmoid-split-adc-lognormal-exact-P2": "9a6f04ed1f576a7c6d9dfc34c33f39f7864ddd6a60dc5de2ee0fef3833bab98d",
     "dot-sigmoid-split-adc-lognormal-settle-P1": "46053ee884c6bd6f4d4f70cb2566a1f6ea45f38804d46ea9d19aaf42b10ce7e9",
@@ -258,14 +258,14 @@ GOLDEN = {
     "dot-sigmoid-split-adc-truncnorm-exact-P2": "7792391d2c74886ede21594f22461b883081f5ba67b613e863ee9c5745512677",
     "dot-sigmoid-split-adc-truncnorm-settle-P1": "8de0afe78eff2701a74ccf4b423793570cdfcc5d24a7cdf433afdb511431f3e1",
     "dot-sigmoid-split-adc-truncnorm-settle-P2": "41ca3caeb9e0b0236af0027f455819d4f8320b86ce12d1dc13e26a587d47a5b8",
-    "dot-sigmoid-split-bypass-lognormal-exact-P1": "47c7356e0ff7f42065876a064858d06f6e7af20291471d513173b0433e8b83c0",
-    "dot-sigmoid-split-bypass-lognormal-exact-P2": "5d17fe2ba288e5e89a559345943be83b054e533e82bf7be751cae69964e2559f",
-    "dot-sigmoid-split-bypass-lognormal-settle-P1": "93d0f1c786b4a4d1a352f11a13ff55e454f90e0e4a5ecf8a9627e618561a9343",
-    "dot-sigmoid-split-bypass-lognormal-settle-P2": "e906d5b79ffc2e1f08ab4b0c549e0ca6a494b47a1fbb5562f75073edae9ac081",
-    "dot-sigmoid-split-bypass-truncnorm-exact-P1": "eaa8328c23659dd7fdfb84c2578c10daafc9bf37e817d6b215e9f95eea129603",
-    "dot-sigmoid-split-bypass-truncnorm-exact-P2": "f162df00c14bcbe98a1367a58a6e544b4114abe07639354dece5ee9ef3b61820",
-    "dot-sigmoid-split-bypass-truncnorm-settle-P1": "48f1d01b195080d6f05269ac2c3f7baca0c71080b194b8ff8d57e98891227f5f",
-    "dot-sigmoid-split-bypass-truncnorm-settle-P2": "6292a5f4c725af8892c32569e2d3a71fb27106618299f8c284dffc530d569f73",
+    "dot-sigmoid-split-bypass-lognormal-exact-P1": "e0ec7419c173fb21655d85174c00f34101f76b40a08d794ac62a157b4a72ad78",
+    "dot-sigmoid-split-bypass-lognormal-exact-P2": "6dcf925eb4414f8140e44d4cabc4434337cb90840a3b84f4a9f847e19721f253",
+    "dot-sigmoid-split-bypass-lognormal-settle-P1": "0f9a0109c3b47086e2f7d1a2f82d644a87aa5a650d12aa4c1145da81b88e1f8c",
+    "dot-sigmoid-split-bypass-lognormal-settle-P2": "feda70126cba87a272fea1ea83add27ae80da883fc0916ffd8c0d9284cd5442b",
+    "dot-sigmoid-split-bypass-truncnorm-exact-P1": "6ab5d8ce779751b16ee3f66cfd6d010868c57ae1ac3e063a8e060732385a3ead",
+    "dot-sigmoid-split-bypass-truncnorm-exact-P2": "40b34c002f6d2a47b0c930c909961441f29b6dc6e6589a7c1f3d47fec680a639",
+    "dot-sigmoid-split-bypass-truncnorm-settle-P1": "1eb6f2f3a6afb05f2399aca9b1037cfc662dc3376bd22d1937415d7451b78123",
+    "dot-sigmoid-split-bypass-truncnorm-settle-P2": "79ae861cf7aa3d60a3fb12cb9790de5e8e7c96406e79ed559c2738a761db3e4c",
     "step-ideal-shared-adc-lognormal-exact-P1": "00a85bc7e8f0a91d2ecbaa83b66f62a7bb6e1eeae054f229e8b145779e10ed85",
     "step-ideal-shared-adc-lognormal-exact-P2": "c6d352409d38d251ff69f1bd2758bb5ea03cf33ee26795327671f3cad444f6af",
     "step-ideal-shared-adc-lognormal-settle-P1": "19c70d6984b228bb74cbc87105aa15e4d2cc36ac9a3b3ac1553217d695c447d3",
@@ -274,14 +274,14 @@ GOLDEN = {
     "step-ideal-shared-adc-truncnorm-exact-P2": "1c78c246096d241d9bf8a733dc0dc16210ff626377bbcc4b883ad9089117665a",
     "step-ideal-shared-adc-truncnorm-settle-P1": "bf8da7cb9d7334c328c66a1b2187b76dbcd3b20fa7d236e83b198aec2cf06930",
     "step-ideal-shared-adc-truncnorm-settle-P2": "b664873e911de588c8335a563c18ef502b601f1b0fe2162bedacc2bf357e60e5",
-    "step-ideal-shared-bypass-lognormal-exact-P1": "715421d3298165b11d3e3228d678e63de628e4eedfed71cd793afd3dd5ee1627",
-    "step-ideal-shared-bypass-lognormal-exact-P2": "4fc8eb135233a224361960301cf3251fdb83ea57213db8ef471bd716d0ac2060",
-    "step-ideal-shared-bypass-lognormal-settle-P1": "e2122342e44b305bc88cd8a9975864657472e8abdc0ca8ee8a721c3efa5bf181",
-    "step-ideal-shared-bypass-lognormal-settle-P2": "3c6e2dc00e761952c563cb8b5466da4ceb0318f640f61387ecf4b3242a844624",
-    "step-ideal-shared-bypass-truncnorm-exact-P1": "092ec533cfc03c9cccb7fa361d71265393274b0f711c1b8ec6bc7bc3b1bef86d",
-    "step-ideal-shared-bypass-truncnorm-exact-P2": "aa7c8d6a67adb15351c3e5bb021776f8ca1fb1004d7d83dffe5b9cc67005f1fc",
-    "step-ideal-shared-bypass-truncnorm-settle-P1": "eeae84183f05627d4ec3e523265ad7a6b9d9cef0971e96d67a0918f056ac4782",
-    "step-ideal-shared-bypass-truncnorm-settle-P2": "53451590b80aef2e7a204ada2ec9139ffe25d65cc037f8638a02bdc1dcaddb7f",
+    "step-ideal-shared-bypass-lognormal-exact-P1": "59c70b3e8141f9288f4a39b00f1ea910aa4d64e83e55504ca94b9cad9c3a8f8e",
+    "step-ideal-shared-bypass-lognormal-exact-P2": "719ba809d6d706681e9f6e1c778f3d7405e77f3a735c43292047522815593578",
+    "step-ideal-shared-bypass-lognormal-settle-P1": "3f21c5758671e41ae221ff4d9e908e988df03f1977aca042a48b93c556a1df57",
+    "step-ideal-shared-bypass-lognormal-settle-P2": "1afe19eaaf8e7752b33076c17ec0643efda9e0d8c5ead84b15d8d2d167f93cae",
+    "step-ideal-shared-bypass-truncnorm-exact-P1": "493b459a46641c4e89e82870095e202e9cf44042ed6506a5571cd6abaf9994df",
+    "step-ideal-shared-bypass-truncnorm-exact-P2": "671efb0e28e6a4f29161dc22ba4152e7539857ee8fc5ccc83304b9b2a6d5491f",
+    "step-ideal-shared-bypass-truncnorm-settle-P1": "c9c5196d4dfc8388a22d3d4545c3e1a8f1afeb734a4abbb851310cd5ae0eec78",
+    "step-ideal-shared-bypass-truncnorm-settle-P2": "31d3e2d62e8252c75936ed6721fcb78eb664a8503297e6d4dd66417dcc226aa4",
     "step-ideal-split-adc-lognormal-exact-P1": "bf05c63651ac41b7e73352b2c9348993d3ff8e6dc2321843991c09e91819ab7c",
     "step-ideal-split-adc-lognormal-exact-P2": "818544619c5c9e0a789cddd022eb73c1ed3fa8ddedadfe97fbe3114364cb88d1",
     "step-ideal-split-adc-lognormal-settle-P1": "bc189db051b38c07f21e026c945162fefc9641ec76e1c1be9e61ce30ef64a84b",
@@ -290,14 +290,14 @@ GOLDEN = {
     "step-ideal-split-adc-truncnorm-exact-P2": "4b7af73c4490aded3327c0b0916c810a7d0fcf04865c1f2e39603bb21a6cdb4d",
     "step-ideal-split-adc-truncnorm-settle-P1": "08501295b9b0a23619f1ea759ba407e64561495d67528bec7a41d66a9b55b567",
     "step-ideal-split-adc-truncnorm-settle-P2": "b21e123c8b02c67d38c3399925afbd0c9c4d602b9c877d3883e5d51343a00ce2",
-    "step-ideal-split-bypass-lognormal-exact-P1": "bd3d229d3448c37d394b9d32e567014e359850ca6085694b898e8e406e59458c",
-    "step-ideal-split-bypass-lognormal-exact-P2": "03bb1e3736163ec4d4c2cefc8f6cd050d1f4710537298f998ad405562212bec9",
-    "step-ideal-split-bypass-lognormal-settle-P1": "e6073ebd8e5fc1af95aaa7bdad435cdd0684a9c560dd40e64610b4138a0fcd43",
-    "step-ideal-split-bypass-lognormal-settle-P2": "2a6cc48492190d3f2a0c07e4cee791d6a9f4e8289f22615a616aa7a77fa105fe",
-    "step-ideal-split-bypass-truncnorm-exact-P1": "7cd8acf3cb02f9a9a4b4ebf0b60b65c21e171ff15ec52b37fda4c10b1826cbf9",
-    "step-ideal-split-bypass-truncnorm-exact-P2": "1653f84dbb108536d04d59164d8a848ef4bdbdd1af4d5de4ad8c71967e3b7fdb",
-    "step-ideal-split-bypass-truncnorm-settle-P1": "a065d7a25cc27f808ec1161094c67fdb5c4671f50525f560f62dd233ce9d0fe6",
-    "step-ideal-split-bypass-truncnorm-settle-P2": "3e59e486311e84f80a7ffae418c373c0512c4d56c2d058e9f76726c4e0875002",
+    "step-ideal-split-bypass-lognormal-exact-P1": "b474514d475fc8a53e0a07ab00e6cb38ee179cdfa77126e18b9d277a6191055c",
+    "step-ideal-split-bypass-lognormal-exact-P2": "6882fc016c6159c0e9b3e0a8913e34e1303a792f2dcc9acbcc55def1d5a34ff1",
+    "step-ideal-split-bypass-lognormal-settle-P1": "e73dacaca62397e96ffabb10c1621a25d59884d1e9fb2cc8cb70e125dfcb3ba5",
+    "step-ideal-split-bypass-lognormal-settle-P2": "2ada94d254adc4d0ca32b213abd45a317c95d924af7a5c98dc8049a52b72f3a8",
+    "step-ideal-split-bypass-truncnorm-exact-P1": "55af4a02409699e1aa6e8aca89b2e030bbae09088a418cb5b80274d8da9ef446",
+    "step-ideal-split-bypass-truncnorm-exact-P2": "9379a7ebf1dc5559d040da26c5176ed98f5804a08c4e22f801345de974db8c7e",
+    "step-ideal-split-bypass-truncnorm-settle-P1": "05e463c0a7b47d00501060cbd407f524ef6c0bd544482e2676c9aafeece4b99c",
+    "step-ideal-split-bypass-truncnorm-settle-P2": "8832b290f4e520b006c5a8063116ccff8b9ca20028550b08c1392571dac6ec82",
     "step-sigmoid-shared-adc-lognormal-exact-P1": "8d801dc042469f605304f73e2719b92a1267fb9e4adb935e2c6f7a05e3b6084c",
     "step-sigmoid-shared-adc-lognormal-exact-P2": "dea3592fb3bff5111fc8489bbd5b0e7045535553e3ee1863eb94ec220ddebdc2",
     "step-sigmoid-shared-adc-lognormal-settle-P1": "73fc01274aa8809711afe46e0d1343fbd70a8a23c5fcc1a5ce62c790353e1e12",
@@ -306,14 +306,14 @@ GOLDEN = {
     "step-sigmoid-shared-adc-truncnorm-exact-P2": "c3777a1f1f78cb3fa35d62cf4d4766a28bd93ae378af8b30173c5b73702ad19c",
     "step-sigmoid-shared-adc-truncnorm-settle-P1": "f2dfa3672aa632f77d723d9142feb012111a8cf9e8a3021a30bb770859844324",
     "step-sigmoid-shared-adc-truncnorm-settle-P2": "6aa259f9ec73380ab7f07db7e2637fa51fa89d2a94bea33c28f6eab0c76c8c9e",
-    "step-sigmoid-shared-bypass-lognormal-exact-P1": "4b68c82424bf730dea641ced699b8586300faffd505513dac94c148ccb6e033e",
-    "step-sigmoid-shared-bypass-lognormal-exact-P2": "8b02b4b889a5f7b701f0f0e6b442fdd9ae95ba45a5184164ff757667db0b14bd",
-    "step-sigmoid-shared-bypass-lognormal-settle-P1": "ccf70a1f8b54345ed9c036e73b36c0ac56066743d76746c9bca24cf450297ff5",
-    "step-sigmoid-shared-bypass-lognormal-settle-P2": "9939a0d92047887a9ba8c7909d9f6ba9892c80c0700922242d4428745625f993",
-    "step-sigmoid-shared-bypass-truncnorm-exact-P1": "024a287a24e36129fa90c4bb89342e131bc342e912bb427170466bd20f7f16ab",
-    "step-sigmoid-shared-bypass-truncnorm-exact-P2": "f005e33f768f8b2d1c4b1832c48cdfdf66b5cf44c6b44b65beced34f121d5738",
-    "step-sigmoid-shared-bypass-truncnorm-settle-P1": "820e59fea73b9f1db6d7c927cf1339d806b359848616e2e39d6521a29c80d4aa",
-    "step-sigmoid-shared-bypass-truncnorm-settle-P2": "ad18fcb12bfb71a61951d3559c1214b91a238a7c4c50b2eb9e56746afca89031",
+    "step-sigmoid-shared-bypass-lognormal-exact-P1": "b3db63a872c3676d56ea9a67d3b74947945e043b4e5572d29d29346ebd82e3e5",
+    "step-sigmoid-shared-bypass-lognormal-exact-P2": "3dc6a9227a061f2e7cec395c449bb7d7833080f8cedabd901152d6c0ae304525",
+    "step-sigmoid-shared-bypass-lognormal-settle-P1": "39912123858209d371b591027f5a96ed00cc59a02ec7d70d5fd33206511bad0a",
+    "step-sigmoid-shared-bypass-lognormal-settle-P2": "b9c76d8c51a45f35e3c854a1afb3113f7765d7e977efd303c4c9060dbf833424",
+    "step-sigmoid-shared-bypass-truncnorm-exact-P1": "c8090368cb63c8414b412b50eb5aec5f8e0b484d0c117ba28b68b064e617fd79",
+    "step-sigmoid-shared-bypass-truncnorm-exact-P2": "a9c5bc78c1a1ae5710a345e49a81c9ace5d74138a186ccac8e2cc92cdac0a795",
+    "step-sigmoid-shared-bypass-truncnorm-settle-P1": "217b8a9f373bc60ec1efe2153081a5555aa35506f94d280964a013f0cf4ed616",
+    "step-sigmoid-shared-bypass-truncnorm-settle-P2": "328b8805400028b42d7c8fe8cf2631bd1cba5567aeafd3079bc961dd0e697f5b",
     "step-sigmoid-split-adc-lognormal-exact-P1": "08557111f5290d91cf743fb5fb0a84c632895647502005cd610132c10d31c4d8",
     "step-sigmoid-split-adc-lognormal-exact-P2": "8dc3e3cab0315071870d2f81cdd5174384a70837c964da0ee25c9bd0bb7ec3c3",
     "step-sigmoid-split-adc-lognormal-settle-P1": "b5c454380822afc65db638cebfaf43f9d086adcd070b90697d647cb466f3f4ff",
@@ -322,12 +322,12 @@ GOLDEN = {
     "step-sigmoid-split-adc-truncnorm-exact-P2": "2c8d728a24a1d968bb798226778b02dd320a4d35130182478555bd197dfe4e0c",
     "step-sigmoid-split-adc-truncnorm-settle-P1": "943bdb7e53254f667a6671a1b6d1ed1d1323e8f826659b56b79ac2258e1bd7d9",
     "step-sigmoid-split-adc-truncnorm-settle-P2": "1cd643e924f89c5805dd119cbc323e803335541150545d8e67dcc171efc51225",
-    "step-sigmoid-split-bypass-lognormal-exact-P1": "681f07e9fb0f3b158eb7c7ccc50254f66dfdbed75b61c4022d8443160c641381",
-    "step-sigmoid-split-bypass-lognormal-exact-P2": "b69a786cabdd67f88f47626d91b748aea306438eb037f95be999b82e3ca274bc",
-    "step-sigmoid-split-bypass-lognormal-settle-P1": "ca099b8ec9c79849c3be9bc857f993b13a752a1326ce102ddeecbe938b26b873",
-    "step-sigmoid-split-bypass-lognormal-settle-P2": "1ca99b77126380354dd8b697793a8cce10ea959a48651b7bcadda184eae3aebc",
-    "step-sigmoid-split-bypass-truncnorm-exact-P1": "8d33e81dc5f9fc9d7f1832f2bfdf29f23ab3b041531e15f5238ee3c95c677c0c",
-    "step-sigmoid-split-bypass-truncnorm-exact-P2": "404e4e9d808775a6c84d110060f38188016682b62bfb0d70cb2d84d116390084",
-    "step-sigmoid-split-bypass-truncnorm-settle-P1": "63f45c3962ca29ab8710d858d47851a051befdd680ddc75d7b3554d59ed98bea",
-    "step-sigmoid-split-bypass-truncnorm-settle-P2": "bfe1ab369da5549b7a9fcc5227a93b0c239fcbfc32c72ba972152979a4fd3b0c",
+    "step-sigmoid-split-bypass-lognormal-exact-P1": "eb72027f032597761198a32984224eae967bbb40ed7965f20bc8bedc0b042d3e",
+    "step-sigmoid-split-bypass-lognormal-exact-P2": "23b307256b70a4637ef7b4135899bcd752c2a57a31348228df7c0fa0dbbc627c",
+    "step-sigmoid-split-bypass-lognormal-settle-P1": "57e2fb28c6c5ac71751b9546e03e14a983697772a8ec25ce9964aa503a4b9a59",
+    "step-sigmoid-split-bypass-lognormal-settle-P2": "62dc9877bc172ac17d0d037925633e01c41d63bf7ec14d835586434a2fd7c1fc",
+    "step-sigmoid-split-bypass-truncnorm-exact-P1": "3ba0bfed450758c9cfebe5b2812c4edb7c14b68f3bc8d6ae71555a775b44089d",
+    "step-sigmoid-split-bypass-truncnorm-exact-P2": "2e2ad6b559928d612039f50a624add169913432118988afe8268e4ec5acfb49a",
+    "step-sigmoid-split-bypass-truncnorm-settle-P1": "80b31a49fbc45e458d762f5f94afbe62d06fb98fa2812f81b9b488cf9076144c",
+    "step-sigmoid-split-bypass-truncnorm-settle-P2": "f7d1b0c708504a8dbdeaa0c92801f5e69dbbb554b84f4a01bdac2c213c534adc",
 }
