@@ -3,11 +3,11 @@
 Sensor photocurrents -> programmed Gilbert-cell array (with per-device
 process variation) -> Kirchhoff current summation -> transimpedance stage ->
 ADC -> digital subtraction of the two Gaussian scales.  Each cell multiplies
-its input current by one effective weight: its transfer ratio at its
-programmed bias and perturbed gamma, times its gain multiplier.  The digital
-subtraction compensates the differing global programming scales of the two
-kernels before differencing, and every run is reproducible from its seed: trial
-t of a Monte Carlo sweep draws from base_seed + t alone, whatever batch it runs in.
+its input current by one effective weight, its transfer ratio times its gain.
+The digital subtraction compensates the differing global programming scales of
+the two kernels before differencing, and every run is reproducible from its
+seed: trial t of a Monte Carlo sweep draws from base_seed + t alone, whatever
+batch it runs in.
 """
 
 from __future__ import annotations
@@ -134,13 +134,6 @@ def _multipliers(rng, sigma, out, distribution):
         out += 1.0
 
 
-def _largest_multiplier(sigma: float, distribution: str) -> float:
-    """The largest multiplier a draw truncated at +-4 sigma can give."""
-    if distribution == DIST_LOGNORMAL:
-        return math.exp(TRUNCATION_SIGMAS * sigma)  # finite: sigma <= LOGNORMAL_SIGMA_MAX
-    return 1.0 + TRUNCATION_SIGMAS * sigma
-
-
 def draw_variation(
     model: VariationModel,
     kernel_shape: tuple[int, int],
@@ -150,21 +143,17 @@ def draw_variation(
 ) -> VariationSample:
     """Seeded draw of all multipliers (numpy PCG64; draw order is fixed:
     gamma, gain, sensor), into ``out``'s arrays if given.  1 + 0*z and exp(0*z)
-    are exactly 1, so the draws after the last nonzero sigma are skipped
-    without moving any other value, and with no nonzero sigma no generator is
-    made.  ``image_shape`` None draws gamma and gain only and leaves ``out``'s
-    sensor multipliers as they are: a second cell array shares the one sensor."""
+    are exactly 1, so draws after the last nonzero sigma are skipped, moving no
+    other value.  ``image_shape`` None leaves ``out``'s sensor as it is."""
     if out is None:
         out = VariationSample(np.empty(kernel_shape), np.empty(kernel_shape), np.empty(image_shape))
-    draws = [(model.gamma_rel_sigma, out.gamma_mult), (model.gain_rel_sigma, out.gain_mult)]
-    if image_shape is not None:
-        draws.append((model.sensor_rel_sigma, out.sensor_mult))
+    draws = [(model.gamma_rel_sigma, out.gamma_mult), (model.gain_rel_sigma, out.gain_mult),
+             (model.sensor_rel_sigma, out.sensor_mult)][: 2 if image_shape is None else 3]
     while draws and draws[-1][0] == 0:
         draws.pop()[1].fill(1.0)
-    if draws:
-        rng = np.random.default_rng(seed)
-        for sigma, values in draws:
-            _multipliers(rng, sigma, values, model.distribution)
+    rng = np.random.default_rng(seed) if draws else None  # none: numpy.random stays unimported
+    for sigma, values in draws:
+        _multipliers(rng, sigma, values, model.distribution)
     return out
 
 
@@ -221,11 +210,6 @@ def saturation_count(v: np.ndarray, vref: float) -> int:
     return int(np.count_nonzero((v < 0.0) | (v > vref)))
 
 
-def default_vref(pk_wide: ProgrammedKernel, i_in_nominal: float, transimpedance: float) -> float:
-    """Full-scale output of the wider-kernel array under an all-bright patch."""
-    return pk_wide.gain_sum * i_in_nominal * transimpedance
-
-
 def block_perf_spec(half_width: int, i_in: float, settle_time: float,
                     adc: AdcSpec = AdcSpec(), **accounting) -> PerfSpec:
     """PerfSpec of one (2P+1)^2 filter block; ``accounting`` sets the other
@@ -262,15 +246,13 @@ def _program_chain(image: IntensityImage, k1: GaussianKernel, k2: GaussianKernel
     pk2 = program_kernel(k2, cfg.cell_params)
     i_in = cfg.cell_params.i_in_nominal
     adc = cfg.adc
-    if adc.vref is None:
-        wide = pk2 if pk2.gain_sum >= pk1.gain_sum else pk1
-        adc = replace(adc, vref=default_vref(wide, i_in, cfg.transimpedance))
-    # One scalar check for every stage downstream: the largest voltage the
-    # multipliers allow (a cell passes at most its input current) is finite in codes.
-    var = cfg.variation
-    v_max = (i_in * _largest_multiplier(var.sensor_rel_sigma, var.distribution)
-             * pk1.dv_grid.size * _largest_multiplier(var.gain_rel_sigma, var.distribution)
-             * cfg.transimpedance)
+    if adc.vref is None:  # full scale: the wider-kernel array under an all-bright patch
+        adc = replace(adc, vref=max(pk1.gain_sum, pk2.gain_sum) * i_in * cfg.transimpedance)
+    # one check for every stage downstream: the largest voltage at +-4 sigma is finite in codes
+    var, v_max = cfg.variation, i_in * pk1.dv_grid.size * cfg.transimpedance
+    for sigma in (var.sensor_rel_sigma, var.gain_rel_sigma):  # a cell passes at most its input
+        v_max *= (math.exp(TRUNCATION_SIGMAS * sigma) if var.distribution == DIST_LOGNORMAL
+                  else 1 + TRUNCATION_SIGMAS * sigma)
     check_range(f"largest code the variation allows ({v_max} V)", v_max / adc.vref * adc.levels)
     s_ref = min(pk1.scale, pk2.scale)
     oracle_codes = oracle.values  # dog()'s own array, scaled in place: no more frames
@@ -290,9 +272,8 @@ def _draw_samples(cfg: AnalogConfig, kernel_shape, image_shape, seeds):
     but senses through the one sensor, so it draws no sensor multipliers."""
     cells = (len(seeds), *kernel_shape)
     sample1 = VariationSample(np.empty(cells), np.empty(cells), np.empty((len(seeds), *image_shape)))
-    sample2 = sample1
-    if not cfg.shared_array:
-        sample2 = VariationSample(np.empty(cells), np.empty(cells), sample1.sensor_mult)
+    sample2 = sample1 if cfg.shared_array else replace(sample1, gamma_mult=np.empty(cells),
+                                                       gain_mult=np.empty(cells))
     for k, seed in enumerate(seeds):
         draw_variation(cfg.variation, kernel_shape, image_shape, seed, _trial(sample1, k))
         if sample2 is not sample1:  # the second array: the same seed, extended
@@ -353,19 +334,18 @@ def run_dog_pipeline(
     """One full analog DoG pass plus oracle error metrics.
 
     Both scales share one VariationSample (one physical array, reprogrammed)
-    unless cfg.shared_array is off.  Code streams from the two scales are
-    rescaled to the smaller programming scale before the signed subtraction;
-    the compensation factors are carried in the report.
+    unless cfg.shared_array is off; a second array shares the one sensor.
+    Code streams from the two scales are rescaled to the smaller programming
+    scale before the signed subtraction; the compensation factors are carried
+    in the report.
     """
     chain = _program_chain(image, k1, k2, cfg)
     drawn = _draw_samples(cfg, chain.pk1.dv_grid.shape, image.pixels.shape, [seed])
     sample1, sample2 = (_trial(sample, 0) for sample in drawn)
     diff, err, sat = _analog_codes(image, chain, cfg, sample1, sample2, count_saturation=True)
-    adc = chain.adc
-
-    i_in = cfg.cell_params.i_in_nominal
     if perf_spec is None:
-        perf_spec = block_perf_spec(k1.half_width, i_in, cfg.settle_time, adc)
+        perf_spec = block_perf_spec(k1.half_width, cfg.cell_params.i_in_nominal,
+                                    cfg.settle_time, chain.adc)
     report = build_report(
         image.height,
         image.width,
@@ -377,7 +357,7 @@ def run_dog_pipeline(
         scale_2=chain.pk2.scale,
         compensation_1=chain.comp1,
         compensation_2=chain.comp2,
-        vref=float(adc.vref),
+        vref=float(chain.adc.vref),
         seed=seed,
     )
     return CodeFrame(codes=diff, oracle=chain.oracle_codes), report
