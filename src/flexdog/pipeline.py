@@ -248,12 +248,13 @@ def _program_chain(image: IntensityImage, k1: GaussianKernel, k2: GaussianKernel
     adc = cfg.adc
     if adc.vref is None:  # full scale: the wider-kernel array under an all-bright patch
         adc = replace(adc, vref=max(pk1.gain_sum, pk2.gain_sum) * i_in * cfg.transimpedance)
-    # one check for every stage downstream: the largest voltage at +-4 sigma is finite in codes
+    # one check for all stages below: each error is at most twice the largest +-4 sigma code
     var, v_max = cfg.variation, i_in * pk1.dv_grid.size * cfg.transimpedance
     for sigma in (var.sensor_rel_sigma, var.gain_rel_sigma):  # a cell passes at most its input
         v_max *= (math.exp(TRUNCATION_SIGMAS * sigma) if var.distribution == DIST_LOGNORMAL
                   else 1 + TRUNCATION_SIGMAS * sigma)
-    check_range(f"largest code the variation allows ({v_max} V)", v_max / adc.vref * adc.levels)
+    check_range(f"largest frame error sum in codes the settings allow ({v_max} V peak)",
+                v_max / adc.vref * adc.levels * 2 * oracle.values.size)
     s_ref = min(pk1.scale, pk2.scale)
     oracle_codes = oracle.values  # dog()'s own array, scaled in place: no more frames
     oracle_codes *= s_ref * i_in * cfg.transimpedance / adc.vref

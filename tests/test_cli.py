@@ -128,6 +128,7 @@ class TestRun:
         ("--bits", "1" + "0" * 400),  # too large for a float
         ("--sigma-ratio", "1e300"), ("--sigma1", "1e-200"),  # sigma**2 is inf or 0
         ("--vref", "1e-320"),  # levels / vref is inf
+        ("--vref", "2e-305"),  # the codes are finite, their error sum over the frame is not
         # each multiplier is finite, but the largest voltage they allow is not
         ("--transimpedance",
          "1e300 --distribution lognormal --variation-sensor 177 --adc-bypass"),
