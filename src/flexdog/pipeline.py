@@ -270,16 +270,19 @@ def _draw_samples(cfg: AnalogConfig, kernel_shape, image_shape, seeds):
     """Both scales' VariationSamples (one physical array, reprogrammed, unless
     cfg.shared_array is off) for trials ``seeds``, drawn in place into arrays
     stacked on a leading trial axis.  A second array has its own gamma and gain
-    but senses through the one sensor, so it draws no sensor multipliers."""
+    but senses through the one sensor, so it draws no sensor multipliers; with
+    both its sigmas 0 it draws nothing and derives no seed."""
+    var = cfg.variation
     cells = (len(seeds), *kernel_shape)
     sample1 = VariationSample(np.empty(cells), np.empty(cells), np.empty((len(seeds), *image_shape)))
     sample2 = sample1 if cfg.shared_array else replace(sample1, gamma_mult=np.empty(cells),
                                                        gain_mult=np.empty(cells))
     for k, seed in enumerate(seeds):
-        draw_variation(cfg.variation, kernel_shape, image_shape, seed, _trial(sample1, k))
-        if sample2 is not sample1:  # the second array: the same seed, extended
-            seed2 = int(np.random.SeedSequence([seed, 1]).generate_state(1)[0])
-            draw_variation(cfg.variation, kernel_shape, None, seed2, _trial(sample2, k))
+        draw_variation(var, kernel_shape, image_shape, seed, _trial(sample1, k))
+        if sample2 is not sample1:  # the second array: the same seed, extended, if it draws
+            seed2 = (int(np.random.SeedSequence([seed, 1]).generate_state(1)[0])
+                     if var.gamma_rel_sigma or var.gain_rel_sigma else seed)
+            draw_variation(var, kernel_shape, None, seed2, _trial(sample2, k))
     return sample1, sample2
 
 

@@ -29,6 +29,7 @@ from flexdog.pipeline import (
     sense,
     to_voltage,
 )
+from test_cli import run_python
 
 K1 = make_gaussian_kernel(0.85, 1, normalize=True)
 K2 = make_gaussian_kernel(0.85 * np.sqrt(2), 1, normalize=True)
@@ -140,6 +141,15 @@ class TestVariation:
             full = draw_variation(cfg.variation, (3, 3), (64, 48), seed2)
             assert np.array_equal(sample2.gamma_mult[k], full.gamma_mult)
             assert np.array_equal(sample2.gain_mult[k], full.gain_mult)
+
+    def test_split_arrays_with_zero_sigmas_leave_numpy_random_unloaded(self):
+        # nothing is drawn for either array, so neither a generator nor a second seed is made
+        run_python("import sys, numpy as np; from flexdog.pipeline import AnalogConfig, "
+                   "run_dog_pipeline; from flexdog.dog import IntensityImage, "
+                   "make_gaussian_kernel as k; "
+                   "run_dog_pipeline(IntensityImage(np.full((8, 8), 0.5)), k(0.85, 1), "
+                   "k(1.2, 1), AnalogConfig(shared_array=False), seed=0); "
+                   "assert 'numpy.random' not in sys.modules")
 
     @pytest.mark.parametrize("field", ["gamma_rel_sigma", "gain_rel_sigma", "sensor_rel_sigma"])
     def test_lognormal_sigma_whose_multiplier_overflows_rejected(self, field):
