@@ -40,27 +40,27 @@ CASES.update({
 })
 
 GOLDEN = {
-    "run-constant-defaults": "eaeb4a885948b7ac1b62e32dacdec73599a43428ba6e3d36abe09147df476bbc",
-    "run-constant-variation": "7225b3fc67850790e7cc78267312919f0252ae7482e7383141fc9ec8c0d8370f",
-    "run-constant-bypass": "e478e77eedf1eb26859114afe1c33dacd08183ab358ee1e3b0233c7fa382073c",
-    "run-constant-sigmoid": "40cac908045e2f3fac087bbe1392705028dd220d0e59b8de63d95253fdc5b9dc",
-    "run-constant-grayscale": "ec6d253cc7239712896a61cdab2b28e00fb8e45609fd5af935c11ebfbf20285e",
-    "run-step-defaults": "643ae90d28c51df7ebc0020a09c393b458879dc775a28c89f8e51396a6554535",
-    "run-step-variation": "ae25085a03bd1cf4ca52fc2527a024b14742f50d3877fca68671c9bf6d8d0e87",
-    "run-step-bypass": "8760f5134cb91707e6180ffd2d15a8a3d577e0194f6f7a4b355025fc6f6e2008",
-    "run-step-sigmoid": "2fe01b0c00656ceea74e9db1e489c8a34bb16d80fca657eea82b66be794a6c8a",
-    "run-step-grayscale": "8446789b72f4fb13b8930520be5446baad76b625fac3cd95a91d2b4828d31908",
-    "run-checkerboard-defaults": "08b37606ce4a6caec7a81ff76bc13a484721a4551b52b1b3a3c6a2f05b818dae",
-    "run-checkerboard-variation": "33c57cff5d22d0a82c5c92d3da7b2af8e495def8552c3bf4979bd9ba58fee5b3",
-    "run-checkerboard-bypass": "7a946d85ee0f58982276e52bd04abcb97a5f548645eab4a930e692fafdd7c53e",
-    "run-checkerboard-sigmoid": "0e84e4ff07fbfe568406f0bb83212507f355cb59f737f369d1108bdda0fe8d92",
-    "run-checkerboard-grayscale": "5360f0d1220551db9761eddfe428869060169ca00f19db30c4bae46e09720435",
+    "run-constant-defaults": "c85b489b87bf9924c14c5c9021fb630d01d52c3bb657291ea0724fd643f870fa",
+    "run-constant-variation": "76a0033280d439586bb48f6c2594fa2ae50cbc6940bb280fe2e00487e2e5bd82",
+    "run-constant-bypass": "16d83427b05bfd8b6c634ce618ea3f320d409d15998226f6483e2806286ba9ca",
+    "run-constant-sigmoid": "df9381b921e123dca38a47bc195d97f7c93589ad2b26d0af7d29004fe00f16c9",
+    "run-constant-grayscale": "508055109df01aaf71d0c555abbacdac5cd889353c2ca619cefd071ca0126679",
+    "run-step-defaults": "40f252ee111c190841950756415dd7f6daa765a1e8126b063a2f1ff3117bba8d",
+    "run-step-variation": "60f3df227c7645b850c6fa3fcbb0ed2cd1262c1f85a0959754c6e13ccda43f6c",
+    "run-step-bypass": "cb9be563fd99dbf03d756889c1ee05b35972c266af1dfdda971ae78b2a0379b5",
+    "run-step-sigmoid": "6810d6605d5113fe3f0322ec4cfa15bce1aa934538235cf7f93a714d91bcd543",
+    "run-step-grayscale": "d10672e2f20e033f527eb3f7218983b68cb36c718261b2bb05564b080acdd943",
+    "run-checkerboard-defaults": "e8a4756dae73c11e9452dbf2fb259812e516e50d34e4179b3c04b280ada19a3b",
+    "run-checkerboard-variation": "aeeeeb503844392f409be3bee383af81069318d191ca1baaa615b73bf245e83d",
+    "run-checkerboard-bypass": "172301938494a2563cf315df723ce3a7c19ba1f730e26d924931fa106e572622",
+    "run-checkerboard-sigmoid": "b4217959bc56b8bb1c6dd041b3b4e1f37ec3eb4b57b49fabec134d2fd61b5a66",
+    "run-checkerboard-grayscale": "4d2c9a623c5573cac5cd01011a26916a6aeb46fd02071b75cb7af601290ef9c6",
     "run-dot-defaults": "d00d3f65d9e582f9998cbf212e9bae789c1d29f9ad2f30aec35f8817f814ede8",
     "run-dot-variation": "6d53147b396a68fa260b479b34383489f5c1119a8d7101415f03b874c010a77d",
     "run-dot-bypass": "da1a945a6ea9988420275c611985924a565d86ea63c6387042130c280182dd83",
     "run-dot-sigmoid": "7058a8cb197e615724321bdec048f5ca9449738a324de73be414436d29840de8",
     "run-dot-grayscale": "9ff3a5b661006e3b7eebe36eebf0eb8c3fdc5f87d567c26c21f89e1666e72397",
-    "montecarlo": "994c4dccd361230ea9e60419315db29bd52222f9e02ba101a197b14b69c279e4",
+    "montecarlo": "771dd30a3e42cb983b2eea40c0704c3e0959eb226da9337bb6ecbfc8610afa50",
     "deviation": "31f18123002bcc7406bc7a50b4be1021fb53f54e1077b47ba7a790514b3835fa",
     "perf-paper": "b8e67891a788cd6f35b44025fd73f94e50640c01d6364070bbf50a2c185c37a1",
     "perf-accounting": "fd1ce82aad6a95a98f7ee9514e14aff83af856178d7490f2ba8ec944e865d5eb",

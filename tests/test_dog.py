@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -164,6 +165,41 @@ class TestDog:
         assert np.all(d.values[:, 5] > 0)
         assert np.allclose(d.values[:, 0], 0.0, atol=1e-12)
         assert np.allclose(d.values[:, -1], 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_one_correlation_equals_difference_of_two_convolutions(self, p):
+        # linearity: correlate(x, w1 - w2) = M(sigma1) - M(sigma2), up to rounding
+        k1 = make_gaussian_kernel(0.85, p, normalize=True)
+        k2 = make_gaussian_kernel(0.85 * math.sqrt(2), p, normalize=True)
+        for seed in range(5):
+            img = IntensityImage(np.random.default_rng([p, seed]).random((30, 41)))
+            m1 = convolve_valid(img, k1).values
+            two = m1 - convolve_valid(img, k2).values
+            assert np.max(np.abs(dog(img, k1, k2).values - two)) <= 1e-14 * np.max(np.abs(m1))
+
+    def test_makes_one_correlation(self, monkeypatch):
+        calls = []
+
+        def counting(pixels, weights):
+            calls.append(np.shape(weights))
+            return correlate_valid(pixels, weights)
+
+        # the package exports the function dog under the submodule's name
+        monkeypatch.setattr(sys.modules["flexdog.dog"], "correlate_valid", counting)
+        img = IntensityImage(np.random.default_rng(2).random((10, 10)))
+        dog(img, make_gaussian_kernel(0.85, 2), make_gaussian_kernel(1.2, 2))
+        assert calls == [(5, 5)]
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("value", [0.0, 0.3, 0.7, 1.0])
+    def test_flat_image_residual_is_rounding_only(self, p, value):
+        # each output is value * sum(w1 - w2), summed tap by tap; that rounds
+        # differently from sum(w1) - sum(w2), so a flat image leaves a residual
+        # of a few ulps, where two separate convolutions subtracted to exactly 0
+        img = IntensityImage(np.full((3 * p + 4, 2 * p + 5), value))
+        d = dog(img, make_gaussian_kernel(0.85, p, normalize=True),
+                make_gaussian_kernel(1.2, p, normalize=True))
+        assert np.max(np.abs(d.values)) <= 1e-14
 
     def test_mismatched_half_widths_rejected(self):
         img = IntensityImage(np.zeros((9, 9)))

@@ -74,134 +74,134 @@ def test_pipeline_case_matches_golden(case):
 
 
 GOLDEN = {
-    "checkerboard-ideal-shared-adc-lognormal-exact-P1": "64712b32b4409dfe0bb2f57181c8a5b3c56dc4939ab381743e3a2ea0780f1330",
-    "checkerboard-ideal-shared-adc-lognormal-exact-P2": "624b9aab8c9600155c2dab1a8702e5baf11bb84d0fcf2228a000553f2ec319c2",
-    "checkerboard-ideal-shared-adc-lognormal-settle-P1": "772382c12e1ce730f223cc5a44d3aff72265ad1d4ed58708e56eca750ce86aa4",
-    "checkerboard-ideal-shared-adc-lognormal-settle-P2": "5239b2d4fbde387b7452a14ed63dd863169f053694b3c782c87358246fcef832",
-    "checkerboard-ideal-shared-adc-truncnorm-exact-P1": "fa03409572b8ed62f87e997f9a4de097c81d0a9a73483231cbe473e171548152",
-    "checkerboard-ideal-shared-adc-truncnorm-exact-P2": "7871fdeda1d2f746515455029c4ea465f39493ece156d63369b8ec2c0382cbea",
-    "checkerboard-ideal-shared-adc-truncnorm-settle-P1": "99fcd53ec208668f38f0a8656d5502d2fc10cd8ea26032faa8e48a9e9f483aa1",
-    "checkerboard-ideal-shared-adc-truncnorm-settle-P2": "d900c5b1f3a5bad23a9e56dacb5756c4f3b780aaf52922a10a5872be4a094499",
-    "checkerboard-ideal-shared-bypass-lognormal-exact-P1": "f3d79c6bf4952b1333a7bcd7d3514e5a41a70d48f6716bdf3327a8882a542c27",
-    "checkerboard-ideal-shared-bypass-lognormal-exact-P2": "e73a6fe7a5653a83e51dbe0dbda4211afbddebc9bd7c3542a4626b61012e50d4",
-    "checkerboard-ideal-shared-bypass-lognormal-settle-P1": "38400770012771c1f765300acc26cf493dd4661d40bec104f878f5c3be24be04",
-    "checkerboard-ideal-shared-bypass-lognormal-settle-P2": "6e82a1637ecc0f9a9b049433b4e6b4c2d12ee814377ae6a425ce22a6eb13cc89",
-    "checkerboard-ideal-shared-bypass-truncnorm-exact-P1": "ce9b302d8f5152e62c6046efd06ee8addd2830fe5e6b94083c00b0c1ce59e8d1",
-    "checkerboard-ideal-shared-bypass-truncnorm-exact-P2": "e3e4e820cc48cfec854f89b6e05a54844a1f80acd91ad93a285caacbca9bdd4a",
-    "checkerboard-ideal-shared-bypass-truncnorm-settle-P1": "b2d60993d815bbe900d346afff92cb6a3e2c6ec52ce957bfab96110e69c3f6cb",
-    "checkerboard-ideal-shared-bypass-truncnorm-settle-P2": "e91c2bc14c3e84475b5b4c6101429338213ca0fefc10ba22044d462a4e144283",
-    "checkerboard-ideal-split-adc-lognormal-exact-P1": "025eacfb6b4d1f06eb09a236bfb523b5c7dcd35b927b657fae1345a3df122bd0",
-    "checkerboard-ideal-split-adc-lognormal-exact-P2": "e092b01a0f137c881732a6adbbb501ee12ea0621e5ff9d1069632edab0533e24",
-    "checkerboard-ideal-split-adc-lognormal-settle-P1": "8ab4fc9c2437c81a55aaf765ffe7dd2771b016563cfed722e425187868774f05",
-    "checkerboard-ideal-split-adc-lognormal-settle-P2": "0d803db11ed98c714d6f2f70f5ce86e238097ede6faafa130eff75e09438c6e9",
-    "checkerboard-ideal-split-adc-truncnorm-exact-P1": "07cced5a1a830c899ab90bc00e3de8450efa224dbb6710c2309b170935d0ef65",
-    "checkerboard-ideal-split-adc-truncnorm-exact-P2": "910645953ac48695669d94b737a102d6070e5e8719e4b2c5366c38a3ce1e1305",
-    "checkerboard-ideal-split-adc-truncnorm-settle-P1": "c01b47b1c891fa9aac2efd1539f093e2810ef4c27cce8277dc487d51a787cb79",
-    "checkerboard-ideal-split-adc-truncnorm-settle-P2": "f00fe0208c4ba8c2ca4d6eb68226d2ed4641d40912e626762033f8bba8716cce",
-    "checkerboard-ideal-split-bypass-lognormal-exact-P1": "b8b84a7e1513d75b622f9a8f096c2c763fcb0cd9e1bd555810b493a421c7c612",
-    "checkerboard-ideal-split-bypass-lognormal-exact-P2": "9351c16fa9f3812a6b33b4b26dd0497eee90b9fa78731995f78eaeb030447081",
-    "checkerboard-ideal-split-bypass-lognormal-settle-P1": "4c251c8d44b5c2348a55847766210f599b33bbeb3faf810c97ebc8619543671d",
-    "checkerboard-ideal-split-bypass-lognormal-settle-P2": "8ac55fc0d8b10c6abc2b4cb42313871834664b100594597c33bd316c5f7ec95a",
-    "checkerboard-ideal-split-bypass-truncnorm-exact-P1": "4331dcb03f3c677eba7ab849446dac8cd7d81947b7d53adf1be4c0885af5b00e",
-    "checkerboard-ideal-split-bypass-truncnorm-exact-P2": "c3bfce30eb62cd191338cd976931611559f2082a910ffc4a7f1a4c44a9a27785",
-    "checkerboard-ideal-split-bypass-truncnorm-settle-P1": "ded0d87d512fa273603abf134c6a6c238a1422af61e9ffc98274af53b3c81994",
-    "checkerboard-ideal-split-bypass-truncnorm-settle-P2": "7e8416e2181445158f919515b0c2f16b5b47d63998c9978a8b27dd366c1316bb",
-    "checkerboard-sigmoid-shared-adc-lognormal-exact-P1": "de95d25fce72db611f6ada9273064d8ad29baee7ab8ccf10c6cafb2e759fc95b",
-    "checkerboard-sigmoid-shared-adc-lognormal-exact-P2": "da6e33e42cb21388f017e2f573f1573551dfaec03562474926d36dd4c44338e7",
-    "checkerboard-sigmoid-shared-adc-lognormal-settle-P1": "45ef3155bfe603ae4101bc6c247d586e43aab6fbd76ec4d437c42bf2ab20cb44",
-    "checkerboard-sigmoid-shared-adc-lognormal-settle-P2": "912138220e8a70434e52764fd0495c8a67991d63e24ec81283ac7f4601248795",
-    "checkerboard-sigmoid-shared-adc-truncnorm-exact-P1": "99cf103551bb1496b762aa3fe2a95ba57df0f078b93f82b9e11b4cf4355791e3",
-    "checkerboard-sigmoid-shared-adc-truncnorm-exact-P2": "2b95edef34c54b61a2122c28d784c37cca75f6a37d64ddb5d9fb1d8ef1ea877f",
-    "checkerboard-sigmoid-shared-adc-truncnorm-settle-P1": "8b3a6218bc6c1da2591d46f850c00a2e62eb6b3b7e2e50d771d8fa12f0017e47",
-    "checkerboard-sigmoid-shared-adc-truncnorm-settle-P2": "7c7bb2f3326afcfff0366242281fc6dd8c429c3aa26a11b407ef813ab910feda",
-    "checkerboard-sigmoid-shared-bypass-lognormal-exact-P1": "d04432302c47ceac43abb5ed5533b5887b4db0f6c320f6f6d6955931b26a6127",
-    "checkerboard-sigmoid-shared-bypass-lognormal-exact-P2": "e0f26de64fd62b5141b6f85b9b80608bfca8c6d9254afa69faf1932211858993",
-    "checkerboard-sigmoid-shared-bypass-lognormal-settle-P1": "7fccc1678a5b9d28c323494221c3d5dcc1e9067c64922f901a991f97a00865ce",
-    "checkerboard-sigmoid-shared-bypass-lognormal-settle-P2": "086f624fd5e8f4ee2c45d58628e6ea4b52ebe6fb830417648516d1cafb50237e",
-    "checkerboard-sigmoid-shared-bypass-truncnorm-exact-P1": "e17df95d260064e1b3671a547b5ce1a1e6728c3f95c323a3d710e5bdea6c4883",
-    "checkerboard-sigmoid-shared-bypass-truncnorm-exact-P2": "c81b3b10b9bfe35de88b40d7a90b7f858a9305ed6d9fab54cd44f89d60b19c55",
-    "checkerboard-sigmoid-shared-bypass-truncnorm-settle-P1": "8b94f0042f5b9bc5f393a51409de45f20e648f740e6adabe8fec700465b7cd87",
-    "checkerboard-sigmoid-shared-bypass-truncnorm-settle-P2": "37df33a2202d365885d4c1d3997d67c625fd129d112e6ea80982fbde492bced0",
-    "checkerboard-sigmoid-split-adc-lognormal-exact-P1": "ea333cc10379daede7a70851eb3682f000c5f896f3d43767c2dad260e573e7ed",
-    "checkerboard-sigmoid-split-adc-lognormal-exact-P2": "e7259da033f4c038bbfd96ed28ec05b20f46d445a4d928374f6b7c1af4631771",
-    "checkerboard-sigmoid-split-adc-lognormal-settle-P1": "fa8c9d66759def3955f5f66e319be00124fe2d567ec1f5cfd90d094a0a02f91d",
-    "checkerboard-sigmoid-split-adc-lognormal-settle-P2": "ff588eb402c51c6ea19a8ac33bbfef420a758d528ab61744efe2a23c1bedb267",
-    "checkerboard-sigmoid-split-adc-truncnorm-exact-P1": "0e2737c816b6190739728a0895d9e3e920fa372c32f1080d8443122b0b026ddb",
-    "checkerboard-sigmoid-split-adc-truncnorm-exact-P2": "2d4aa25f449bc96b55a4a71f84f600d0e32406e8f62817111a97b3eb859b75eb",
-    "checkerboard-sigmoid-split-adc-truncnorm-settle-P1": "8a495d1673a45d614bd7205274461f0281eacfbca8fb00ba62624f95a23419f4",
-    "checkerboard-sigmoid-split-adc-truncnorm-settle-P2": "6d411ab4d4cd397ae3061153880d8c5a240b4b1ac081a03a114553416ed16711",
-    "checkerboard-sigmoid-split-bypass-lognormal-exact-P1": "74471c02e5fb3bed1f5ed3c6d7aab9a61fc644da176963bc118a00883217dbf1",
-    "checkerboard-sigmoid-split-bypass-lognormal-exact-P2": "65b243b085d3e935061af98186f05b723ce29b3103e742fd2571356b27c40914",
-    "checkerboard-sigmoid-split-bypass-lognormal-settle-P1": "0e7fc778f894681fc09a2679c2fc995f2f5df0aac8c51b42e49d119992f902b7",
-    "checkerboard-sigmoid-split-bypass-lognormal-settle-P2": "89762623193626d9f149b141e21adbcc6f66be24b8838ce80f5296430324079f",
-    "checkerboard-sigmoid-split-bypass-truncnorm-exact-P1": "ab1317f4082a897479aeb1bfaa8ecc15974dc033ad50c75281ce72e5cfd3d15d",
-    "checkerboard-sigmoid-split-bypass-truncnorm-exact-P2": "87b37072fbc6adec65bc353664f827d4724725566ab2eb2796c836fa51f90b9c",
-    "checkerboard-sigmoid-split-bypass-truncnorm-settle-P1": "9c1b99e8245f8045a897e5212a44377dd9f039ecb6f510e06888f86fdd4277ac",
-    "checkerboard-sigmoid-split-bypass-truncnorm-settle-P2": "57f8eee235474deb1447e63aaa17cf300ba4ea216b8665f7169d0b05b4d6b0a7",
-    "constant-ideal-shared-adc-lognormal-exact-P1": "311c9bf0c4758ec0f2b86966c51127f8809b93882ef7d1826b10f89da6269f74",
-    "constant-ideal-shared-adc-lognormal-exact-P2": "83457f990e4424291b2147dbafd26379a037d5c14a75244949798f5cfc4dd09c",
-    "constant-ideal-shared-adc-lognormal-settle-P1": "22d98317dfbf9a23504e71b7f5c4dfaff46c7d286327de0a846ee5f02211e742",
-    "constant-ideal-shared-adc-lognormal-settle-P2": "246a03084a72c8e55428c78cf9afce3985483d2c89b435cc52ed877b9dc3a9d5",
-    "constant-ideal-shared-adc-truncnorm-exact-P1": "d08f6b49c21a66a796bb297eb113891b88a1e8904b4cf0281805072b336855f0",
-    "constant-ideal-shared-adc-truncnorm-exact-P2": "268a7b5871ebcc65453eea2529ac4b079533e50873fd87377a6616a9d0d44535",
-    "constant-ideal-shared-adc-truncnorm-settle-P1": "968d381fb611f8ba41a7bb68e819d2921f260f155c78ba7d5b7d88da07f3d66d",
-    "constant-ideal-shared-adc-truncnorm-settle-P2": "07b34aa5d5d073abd4c4a7aaf90a240a4a588245bf92d2adefe41e1a1d6f7515",
-    "constant-ideal-shared-bypass-lognormal-exact-P1": "5c29da8f8a1cad13e3a97ecb98c595b35443d1db623ac05e554d5d613635ca1e",
-    "constant-ideal-shared-bypass-lognormal-exact-P2": "1d0a63e4d8bb80406ca92a0e6bdb73c4d27cc33f2ec7e6880a5e9b755daac6e9",
-    "constant-ideal-shared-bypass-lognormal-settle-P1": "78e947fd69eeff220cbfc2de1677d8d3082bc586dbb06625f20646907e949a66",
-    "constant-ideal-shared-bypass-lognormal-settle-P2": "4af04e3e68929d9546fc63cfe21c0fcbbffd248a1498e9b24ea7cc75baebfc3e",
-    "constant-ideal-shared-bypass-truncnorm-exact-P1": "ccce95283f6503bc37c894f06a9526f7d4da6ded820b5b6947b8b33e48ab4268",
-    "constant-ideal-shared-bypass-truncnorm-exact-P2": "173a18b46576f7ea80de61dfb69607a5ddb80c605ec221c4007827f988719790",
-    "constant-ideal-shared-bypass-truncnorm-settle-P1": "1b18b0b2cace65c5007bb1e097ef2d032e25f6a9d1849fb4dbd41939564655d1",
-    "constant-ideal-shared-bypass-truncnorm-settle-P2": "e643415f788db1d1743155bd840587c50e4d99510039b8bddc6adf6504e7f3fc",
-    "constant-ideal-split-adc-lognormal-exact-P1": "5e1791794e2a95274419a78fcfe92d85236bdd4840b8fbe8bc8c8131fa7e2a86",
-    "constant-ideal-split-adc-lognormal-exact-P2": "ed67d21e58f02ae7df9db9058bd98e3370ad4ac98edc94d200bb2324ec6e9767",
-    "constant-ideal-split-adc-lognormal-settle-P1": "1d7936353674e8e3df9a2da043e458a0381ce692f4a929ed81ee22a3c59043e6",
-    "constant-ideal-split-adc-lognormal-settle-P2": "2eeed847997cb19ae098b10f3efb1c982fbf8a7015a671af36a1e0045ac2499f",
-    "constant-ideal-split-adc-truncnorm-exact-P1": "8a552055996b1fd3f038ae2036d05cdd22f35f5f8e422ed0fa1b19a58ec259a6",
-    "constant-ideal-split-adc-truncnorm-exact-P2": "f87cd66254065859a382d5dbfedaaf9528a526f995765adf613f93520c126b52",
-    "constant-ideal-split-adc-truncnorm-settle-P1": "5c8c3b268551fa3ccd37b38fc13cdd62514ed0b0a80cf0327cdcac2928c8a0c8",
-    "constant-ideal-split-adc-truncnorm-settle-P2": "d7c2cc9bbfb071ae56c3f2d8a9db692b3478acd17451b6325f59b9b903e5f891",
-    "constant-ideal-split-bypass-lognormal-exact-P1": "ed740957f052922769350a6fa45a55c07f752a8cc6b04064fe300c1ac1950baa",
-    "constant-ideal-split-bypass-lognormal-exact-P2": "62a4c04d581250ac2c4d5759c4108e92a9ee94af34f2848367e7797369af5432",
-    "constant-ideal-split-bypass-lognormal-settle-P1": "e8402d5242b89a5b9ce5e2b99e1d8f2cbfbec2894ee57313ee1adb9336eab40c",
-    "constant-ideal-split-bypass-lognormal-settle-P2": "239f87229470321fb316cf4e751aa9aa2b6b3f1eda636a633a728a81dbe920ce",
-    "constant-ideal-split-bypass-truncnorm-exact-P1": "ec867369742dd1238c0d916e613b720e528a0f5592d752184eb96b8bd78860ee",
-    "constant-ideal-split-bypass-truncnorm-exact-P2": "45a58d0fba0942100794fcecd99fe4aea26c4fa2f15148f6f72347c2d48a29bf",
-    "constant-ideal-split-bypass-truncnorm-settle-P1": "3876a519557741e6a9b31b68535b3672d540642c73fc270bdbe4e23951d79b39",
-    "constant-ideal-split-bypass-truncnorm-settle-P2": "94fcf21d0ca260d7d1cac47193377059d0d7b23c316d36ea81d5247fdc00a0c9",
-    "constant-sigmoid-shared-adc-lognormal-exact-P1": "3814442d77b65d7871ca686704f8fe3b1691b9b610eb531c5af3038471c33618",
-    "constant-sigmoid-shared-adc-lognormal-exact-P2": "a41489efc5806f59ac6f74e096a5d83a4063e219268e59646a57c620bac893cf",
-    "constant-sigmoid-shared-adc-lognormal-settle-P1": "3ae0e679b29936cb51da2e26003635d0997a09717a331991f0033f50ce66276b",
-    "constant-sigmoid-shared-adc-lognormal-settle-P2": "f3c1e941aaceb5fc1989c67c43f660d3344ed6dc3a5e9410f1e94ddd1e43404d",
-    "constant-sigmoid-shared-adc-truncnorm-exact-P1": "b2254932f8269353af67245840727e01807f51c2baaf9ef974387fac2a445663",
-    "constant-sigmoid-shared-adc-truncnorm-exact-P2": "db62e6c7e0ea78ceb29868782fbbcf02fd32942bf9de32fd7235843edc4bcbbd",
-    "constant-sigmoid-shared-adc-truncnorm-settle-P1": "91b588482518c1c056988cc81d6168119e26cadf53d9b534382fb08ba313ca21",
-    "constant-sigmoid-shared-adc-truncnorm-settle-P2": "0f2f15248ff9fde6ccee7acbcf67f33d510a5dd0a836f154072eb361df73e54f",
-    "constant-sigmoid-shared-bypass-lognormal-exact-P1": "5f49b4d8d825e9e5327212bbbbc8b4d4a034be13303683ba01083e25d0b7444a",
-    "constant-sigmoid-shared-bypass-lognormal-exact-P2": "e5176f021f4cd6ac5b1aa89e7152583d188b62151b82bcd14edd4b5ec062ef28",
-    "constant-sigmoid-shared-bypass-lognormal-settle-P1": "8f14f31558987ba5218591fba117e4f549713d7cfe2a19aed3c4fd9aefbb12e1",
-    "constant-sigmoid-shared-bypass-lognormal-settle-P2": "01cf1828d098a95b87b84100662eb6201adaebd8919c752dd850cc53321e62a4",
-    "constant-sigmoid-shared-bypass-truncnorm-exact-P1": "dda0a0a597e880a6ad245565193f87910fc452e925fd358fbe21efc1a7e86ebd",
-    "constant-sigmoid-shared-bypass-truncnorm-exact-P2": "f9d28f420f97b95d8815b7b2442514841afaf28c06fe9f59f9efcb95b7dfb548",
-    "constant-sigmoid-shared-bypass-truncnorm-settle-P1": "51d1255abde07ebfa6c36a6e752d8eb8c571960cb1d2098ebef240f160b61087",
-    "constant-sigmoid-shared-bypass-truncnorm-settle-P2": "bfdf1a4156b12b761e2f746130cab17977e438440472e53b419a874f81876869",
-    "constant-sigmoid-split-adc-lognormal-exact-P1": "d531f921163869f2292e154b0f31b1124ad9b803841645fa057b7ba301b2af85",
-    "constant-sigmoid-split-adc-lognormal-exact-P2": "3fe8e4670a2fc8957d5bd9483be4d1fec29ee2ed5cd4c7446ce9cf5ee8d28f46",
-    "constant-sigmoid-split-adc-lognormal-settle-P1": "977d17f0516ce0b8dea60a4920747b9cbf45ec0358e93da6cb9b15dd8b175a14",
-    "constant-sigmoid-split-adc-lognormal-settle-P2": "c18160d584be86455401c1498a29c20683a8d7657a28b86b6fa12c3000caed8a",
-    "constant-sigmoid-split-adc-truncnorm-exact-P1": "f0f8019e3134462a7f77cad9a2beaf6e24116563d0a954573cbe8c15c536003f",
-    "constant-sigmoid-split-adc-truncnorm-exact-P2": "ee0d205ff0d8df54b0597c91e802e46f548d11942dab22d0ab00d440549efb22",
-    "constant-sigmoid-split-adc-truncnorm-settle-P1": "627e7d74167e3ea8c3f906c060567c39ffb38cde8e4bad4c05f6c6aaffc3d127",
-    "constant-sigmoid-split-adc-truncnorm-settle-P2": "00f83f369b0848ee1f6b777aea40eac2161f3cbe81d43f813edcefdb8ac79647",
-    "constant-sigmoid-split-bypass-lognormal-exact-P1": "4ad13df8bbfdbcc7e292fc1d4ae440c0d7b377bfa2cb93a5e53d642401d80b17",
-    "constant-sigmoid-split-bypass-lognormal-exact-P2": "0b67d945b28ca4514f90aefff3dcaf86250a14f245a43e6879f7151365d4072f",
-    "constant-sigmoid-split-bypass-lognormal-settle-P1": "1e80ea239d4e866d8daac0b330da0817c305b52bec82f072a5c1f25607d450ef",
-    "constant-sigmoid-split-bypass-lognormal-settle-P2": "e8c0e0da5bca9899dd61bb74f8ab700ced892ce6d2256c33fcdcc1fe125ee1e1",
-    "constant-sigmoid-split-bypass-truncnorm-exact-P1": "22d5d7e5600096726afe1102bc510c83682ddcb19f21de8b7ba2bc03baac9b0d",
-    "constant-sigmoid-split-bypass-truncnorm-exact-P2": "2cf93228355f8a36e8b6f7b8315b211954b9240ab0d46a8b37103c5149993a34",
-    "constant-sigmoid-split-bypass-truncnorm-settle-P1": "a98e2a5400aa2b405630c347459d95385df5f54327f2413dd0e653c2822989ec",
-    "constant-sigmoid-split-bypass-truncnorm-settle-P2": "74f0c9ffac4a3ce0167c67ccfcb12a34551b335dc2ec88a7a44777add277b737",
+    "checkerboard-ideal-shared-adc-lognormal-exact-P1": "d368415536618b246ef55733b6d99d4bfb538c37066a0eb796bfab411788305e",
+    "checkerboard-ideal-shared-adc-lognormal-exact-P2": "7ec8e4552eee62b025184b5f8169b423ad41f376e3fd914ac9f48413547d2bd7",
+    "checkerboard-ideal-shared-adc-lognormal-settle-P1": "05fe250198615911aa5d3446ebde798677efdd8a32b80019d32bbe678cd9f323",
+    "checkerboard-ideal-shared-adc-lognormal-settle-P2": "003868a7e6fd5028e3456ec81f80c5c6f7d1efdebec0fef92a20038e2a42a80a",
+    "checkerboard-ideal-shared-adc-truncnorm-exact-P1": "63a20629e5070e2c1c4202dbb9f0f725b30846075df54db65052d058428a62c0",
+    "checkerboard-ideal-shared-adc-truncnorm-exact-P2": "53c9495c56914093909671b8b0441074e2f0d53e718a2978daff6b64aaf800b2",
+    "checkerboard-ideal-shared-adc-truncnorm-settle-P1": "cce0e612efafe2cac04598ab400041a192d9becdd37c3e7c1fb4f427f0bad296",
+    "checkerboard-ideal-shared-adc-truncnorm-settle-P2": "c887c75be254aa9abc25c7ea569d84920d4568a19f2cb798c6701405fb88c826",
+    "checkerboard-ideal-shared-bypass-lognormal-exact-P1": "eeea34fd48a4f6431552288e206ec664ec14260d136e371f6a9a12a82741dcb7",
+    "checkerboard-ideal-shared-bypass-lognormal-exact-P2": "e1a8e5d3bc5b9ea26d81a17f86a3ff4e9f5daa738d62c61809f307f1c66013ab",
+    "checkerboard-ideal-shared-bypass-lognormal-settle-P1": "2e66fcd26e832e7edc6ace645de5f7bddb10e6c1aa82c5ed95ccb04dc8277562",
+    "checkerboard-ideal-shared-bypass-lognormal-settle-P2": "46fac4b38e4eaf3f755b585c3f5529a416e8f935f060ef51f72671d055cbb255",
+    "checkerboard-ideal-shared-bypass-truncnorm-exact-P1": "78b100254466f60253520602fe7621aa0fbbd925290e0838e3ab7e3c253c49d0",
+    "checkerboard-ideal-shared-bypass-truncnorm-exact-P2": "cc7fe0b86b1785eb75c9c82d8700f28ffb951ec9c46459d84b3e1fa1dc36cf80",
+    "checkerboard-ideal-shared-bypass-truncnorm-settle-P1": "463a747f43c530ad7c6918168b6c26cd817aad086ae4d19d168b478aa361046c",
+    "checkerboard-ideal-shared-bypass-truncnorm-settle-P2": "d98e70a2265cec9b9da8d90fc6e6cfe9ca177c3504f1e4069e5a8319fc819aab",
+    "checkerboard-ideal-split-adc-lognormal-exact-P1": "c747fef4e7f74d75c17c0c1c4d744c432b932847cac701e77c4b5def4a17963e",
+    "checkerboard-ideal-split-adc-lognormal-exact-P2": "fea30d3785c8b53ca2cb2983fb9a6f40bbff5a53db1a772159b4d32038edbd5a",
+    "checkerboard-ideal-split-adc-lognormal-settle-P1": "642fa6b2fc93156e3ad81269c1a52ae8b9aa3f9619e056082c5d49ae87d39690",
+    "checkerboard-ideal-split-adc-lognormal-settle-P2": "7242ee7a8467e1112a315e126e480cbe0c35dbd40202958bb205e3ca832783ec",
+    "checkerboard-ideal-split-adc-truncnorm-exact-P1": "bf9416c1eb99bb15e71be452c09c855e911ee9478c541c00f28185c884bd3462",
+    "checkerboard-ideal-split-adc-truncnorm-exact-P2": "64e9c0ceb982c7966b573033a8b109c05da057a5d5ee5e4841d82fc97f65d857",
+    "checkerboard-ideal-split-adc-truncnorm-settle-P1": "8fa00e62cb1f6366f0adfe87ebd837f17d00b5eae828fe05166c1c82992afe77",
+    "checkerboard-ideal-split-adc-truncnorm-settle-P2": "e2e5b55b330eec8cb6bf3be0f3079dc770d8b42f21d9c70b66c67c2815f22c47",
+    "checkerboard-ideal-split-bypass-lognormal-exact-P1": "210d7845a95cf5936cdf9177c38613128e55c6db0a6f381f47cde30d2fe530bc",
+    "checkerboard-ideal-split-bypass-lognormal-exact-P2": "08bd5419ea856d8574b918408e8917de23fbd10b5f35d910f1abf4e3211fd20d",
+    "checkerboard-ideal-split-bypass-lognormal-settle-P1": "4bf037a1ba1f02bf0aba936b5ef9233c538bc6f12bc6a7b8356029cfc89462af",
+    "checkerboard-ideal-split-bypass-lognormal-settle-P2": "0c5be407f0fc4a8db28d3cdc695cce8606a92329cac039b366bc512bb4089468",
+    "checkerboard-ideal-split-bypass-truncnorm-exact-P1": "bf4142abb986bd1b65ffdb6225ad1d6f412a0dbc430d207469ece551e63371b3",
+    "checkerboard-ideal-split-bypass-truncnorm-exact-P2": "f389e56b4b6dd5b390c2aa67ea6980d109f86f2ee6b7ff7170a3e1124aac1287",
+    "checkerboard-ideal-split-bypass-truncnorm-settle-P1": "80e9c5c34477209d748478000fddebada9152b6d152b231749d7b42bba6820f8",
+    "checkerboard-ideal-split-bypass-truncnorm-settle-P2": "b88f652318957462d551f55a0e64ddd336c7e954eb9a2dcbedf34cb89fea8369",
+    "checkerboard-sigmoid-shared-adc-lognormal-exact-P1": "47bbc5177d8e1d13b78631ff4aa669ae493ea911754a25dec619e8f262004d6e",
+    "checkerboard-sigmoid-shared-adc-lognormal-exact-P2": "03f6d4f17fd1ff51affd8a449f0aa6bb387c8eea1306ebfd0cd9c6c111928bf4",
+    "checkerboard-sigmoid-shared-adc-lognormal-settle-P1": "67191f1feb6b03935e47b973887fcd2d258fb428d33b87c09652227a633af922",
+    "checkerboard-sigmoid-shared-adc-lognormal-settle-P2": "9a8568500c7787cb753b0a7eea25dbba24ee56668ef52d5c507960024ccf2470",
+    "checkerboard-sigmoid-shared-adc-truncnorm-exact-P1": "389e64feb9a83ecb8eed1ef9731755a1c2595acc77ba4323c76e1b78aead5664",
+    "checkerboard-sigmoid-shared-adc-truncnorm-exact-P2": "6648a2e5ed93be7ddb8627aa36dadf716174dcae0df2a3df2132997a2dd718d9",
+    "checkerboard-sigmoid-shared-adc-truncnorm-settle-P1": "fa513b35bbee196675ce8f8930309dea439129356f3cb9f7d21830e0e0221f07",
+    "checkerboard-sigmoid-shared-adc-truncnorm-settle-P2": "7bb2119c5c4aab6ee20b9f5e22a7618b3bff5d5d5efc89d4211ee03f17d6ad4a",
+    "checkerboard-sigmoid-shared-bypass-lognormal-exact-P1": "a1b2e3bdd7e7dde7bd32f0098d88d4a885e2fa95632a09a5c2f5bd8a76538394",
+    "checkerboard-sigmoid-shared-bypass-lognormal-exact-P2": "99edb12dc77452fa0c41df2510d8c5413ce1ee9ba88e3577f80913812433b3a4",
+    "checkerboard-sigmoid-shared-bypass-lognormal-settle-P1": "e0022d91783d2bc06fac1ac2237e5678c401a31b68127189fe136211e85f3220",
+    "checkerboard-sigmoid-shared-bypass-lognormal-settle-P2": "0c1f281731c39bdf446007a2a1d4252cd28c360102bb9ddbc020a31c0e354226",
+    "checkerboard-sigmoid-shared-bypass-truncnorm-exact-P1": "934ae18697f62789c1396dcab512595ae5465c765f66a424d003c186cb90eeb0",
+    "checkerboard-sigmoid-shared-bypass-truncnorm-exact-P2": "9f355070fa051dfbc044ba0263cf34adcb48706bcfe954f32a2d341fa9e73077",
+    "checkerboard-sigmoid-shared-bypass-truncnorm-settle-P1": "7a847410dca4d04b19699380fe99fbad8218cec406203a5ba709bbc2610a45b0",
+    "checkerboard-sigmoid-shared-bypass-truncnorm-settle-P2": "3eb9cd3d12cd1098c3202d43f0a17621b5bcf8d3f6f56b9a0d498f9489239442",
+    "checkerboard-sigmoid-split-adc-lognormal-exact-P1": "4d25016d67ca2023fe2cf38cc2a17dc49ab29db86a3fa99433f1500fc1c7ab23",
+    "checkerboard-sigmoid-split-adc-lognormal-exact-P2": "909a43e6823cab7e42048df3fb39e655d779943ae899cbb93914d8bfc403d44c",
+    "checkerboard-sigmoid-split-adc-lognormal-settle-P1": "c79d37442fc2b1019e3a5a3fea7c249b7ef2336d572a901ae65e1c5027fc1faf",
+    "checkerboard-sigmoid-split-adc-lognormal-settle-P2": "66c8e4d721aacb640b546ebfbc043f42dbba2f1bbe62a4510c610ec8e237caeb",
+    "checkerboard-sigmoid-split-adc-truncnorm-exact-P1": "9f4f0609de3fb7a5ff37068c11d21373b208637923d5f63bf776ff6472225410",
+    "checkerboard-sigmoid-split-adc-truncnorm-exact-P2": "5f82cc7a964fe847d31abda63bf2f462114ae13be1c9a6bfd00642a683cbbe0c",
+    "checkerboard-sigmoid-split-adc-truncnorm-settle-P1": "d2cc0c85a4a380736db16c9bb80c1e13a9c865139af6fa9adf4a463a6d50c48e",
+    "checkerboard-sigmoid-split-adc-truncnorm-settle-P2": "3c0d09704f1cb088e6126d4a32a58ede62321d529481f3e03173ee65412badd8",
+    "checkerboard-sigmoid-split-bypass-lognormal-exact-P1": "3b062339a432208512e3ac033fc24a937b55a5eefccedf19f4c24421ce29ac32",
+    "checkerboard-sigmoid-split-bypass-lognormal-exact-P2": "005767c03070888ea8a5e4ba6779a92a856769158cadae9b334601e3a42446c6",
+    "checkerboard-sigmoid-split-bypass-lognormal-settle-P1": "c51cfd4a10c96cb87f5c10827e4f4ef2ce718f71fed50662e31e28e59cbb350c",
+    "checkerboard-sigmoid-split-bypass-lognormal-settle-P2": "f0e8236caabd7604a5e500818e34b4b3da27315b76906f28b5403f8d4bf49e16",
+    "checkerboard-sigmoid-split-bypass-truncnorm-exact-P1": "f0e10ce3a8a2cb123bb5766f21eb69b4239e45150ce4c24100bbbd4e824ddd09",
+    "checkerboard-sigmoid-split-bypass-truncnorm-exact-P2": "e1c3244f244eeed1af4b50f637aa2ed9a03ab593352953f760479039d64b73e2",
+    "checkerboard-sigmoid-split-bypass-truncnorm-settle-P1": "8751f7ea5e51b24a18034c35056c9aab65982343f0671ee76c3763e6080a5600",
+    "checkerboard-sigmoid-split-bypass-truncnorm-settle-P2": "06211cf314a48ca17f2749a2034a4fe0224720df04d44086576f05aa251c3a71",
+    "constant-ideal-shared-adc-lognormal-exact-P1": "c7151dd16364ea6b2877baafb9041e946e64a91e833c1e87f8a88e95a592e277",
+    "constant-ideal-shared-adc-lognormal-exact-P2": "27f35b005e6096a974f3f1faac6be992cb0b8fb869a3be98fd8d3d8679ed61e4",
+    "constant-ideal-shared-adc-lognormal-settle-P1": "c592d92c948549ca996bc1c4a0f8f2ab971545afcf1f97ee440db5d105c80479",
+    "constant-ideal-shared-adc-lognormal-settle-P2": "77d332d6ea547cd6cae8784d3cc971722c5bae111bb7fd06ffdc6855ee32568a",
+    "constant-ideal-shared-adc-truncnorm-exact-P1": "221a3e0911c45e22b4a88f28280a98898049de1a706b6ddbf2b5a1d9ffcd16ed",
+    "constant-ideal-shared-adc-truncnorm-exact-P2": "e32bbf074b99290622ac82393daf38c705c9e655e32e754bae82a5431db1e387",
+    "constant-ideal-shared-adc-truncnorm-settle-P1": "1e027b0eda35ceff60a60ec72b445858fffcfd53b616f6326dd00ae24d8f90cd",
+    "constant-ideal-shared-adc-truncnorm-settle-P2": "01c156ceaa9e1400a8d989d495b7cad9d24f1efee9580a847869e0b22ad7f6f1",
+    "constant-ideal-shared-bypass-lognormal-exact-P1": "fe8e16cfeef88a624a921b56fdf429344529dcddca7f569d59d7563f4685b2fe",
+    "constant-ideal-shared-bypass-lognormal-exact-P2": "0defd501bb661a2a3b2ac218105f0a64e6e3e2f157f5a881ff3d53b898622fa0",
+    "constant-ideal-shared-bypass-lognormal-settle-P1": "26bcef5160d2df596da37b04397b8654a9b73af41ab4c9c10a30092ff12aa797",
+    "constant-ideal-shared-bypass-lognormal-settle-P2": "900729e8c1c2e9a7433de99f67ddebcbc8fecda0d44b32b4be5cb9cf1ef9b433",
+    "constant-ideal-shared-bypass-truncnorm-exact-P1": "a0fe08a23b54c7f9472b81291cfa8fa954ea185d1f0d764e4f5337999eb32cc4",
+    "constant-ideal-shared-bypass-truncnorm-exact-P2": "5397ea8001de5dfc74a5698c4e02296519a8da6ebe94bc1e94b9573d7b97a032",
+    "constant-ideal-shared-bypass-truncnorm-settle-P1": "6e7b18b6172a71a2909917785e5b85bc94028cba474187b466e2afa57cc8fa5e",
+    "constant-ideal-shared-bypass-truncnorm-settle-P2": "9c9ce24aa2539ea8c8d0b20a9ab7d93bac5ac609c8eb3f65d3e43dbf57be9056",
+    "constant-ideal-split-adc-lognormal-exact-P1": "f7faa608e53f2ba2e54af9322967351b4b3c13ffd6d36f180c246a40df2d9a50",
+    "constant-ideal-split-adc-lognormal-exact-P2": "c2263cdcca83cc0ce2b2c7b025315e1fb1d7907f0c88aa5ccfb16f1c918284c6",
+    "constant-ideal-split-adc-lognormal-settle-P1": "68d06f702fe62aec523386a92b54989b7d0cd75416b43120d842a9a96d84920d",
+    "constant-ideal-split-adc-lognormal-settle-P2": "6792404e5eca0089dc6153afdab3fac96a81e91ff825195d83115e7332d0d014",
+    "constant-ideal-split-adc-truncnorm-exact-P1": "b7ef6fc0ed2323ab72b9cc79dd70e99cb2488328e15ec54eb57df1b313a93252",
+    "constant-ideal-split-adc-truncnorm-exact-P2": "61e0f88c9e7e66f4cd2f88eae4c69d3c3035cfdcad36316998a127a5f8fdb2e6",
+    "constant-ideal-split-adc-truncnorm-settle-P1": "eb23b0ae04468c84f933121cf2c8ab7462a6165ba622703ba35deb12d1d6b1bb",
+    "constant-ideal-split-adc-truncnorm-settle-P2": "338cbe3c9328c11500d2f87a750ac80f91d27487d8c93f371e315f4d8171b183",
+    "constant-ideal-split-bypass-lognormal-exact-P1": "18f254f360cb354915d3d8778580fac1dc34400993cf7022d53acc5b988aa07d",
+    "constant-ideal-split-bypass-lognormal-exact-P2": "4602926d9378bfdba3f7828d0a795d308694810d5c43533f7c0b6e5af455bf4e",
+    "constant-ideal-split-bypass-lognormal-settle-P1": "5638968c090a91e62176b7c4f6cd9fc1dd871952a90c6ebf19bc6cb7bcc3d727",
+    "constant-ideal-split-bypass-lognormal-settle-P2": "8f071bd5e34c98fa46bd388866f2890d9f9b6d1b85afb1d85656293b884a3d14",
+    "constant-ideal-split-bypass-truncnorm-exact-P1": "724af2370ff329606d01f6609691aaf72f3d957efa38a09c2cfc9670b3b9ce72",
+    "constant-ideal-split-bypass-truncnorm-exact-P2": "1ead1b10ab83e0866f953cbdd569575f6176a5422e3b96b73b95ef76c3070b5f",
+    "constant-ideal-split-bypass-truncnorm-settle-P1": "b2894f87fd6b53d850c31e99d02385a12c546082093d7867b712ba45f6631aed",
+    "constant-ideal-split-bypass-truncnorm-settle-P2": "08da65d629fa69aa4300a42be618f54d32c3ddb2ce8636dfbbc84aedba7823a6",
+    "constant-sigmoid-shared-adc-lognormal-exact-P1": "b3acb11972ea2d8a9ffa465a6f0a38aa17853b4791fa3fe078e8a2d299c5b9a8",
+    "constant-sigmoid-shared-adc-lognormal-exact-P2": "5aa85a91cf1c760c3a3c675f713058f89be16d751d9480a1ceecba3cbe08f510",
+    "constant-sigmoid-shared-adc-lognormal-settle-P1": "07739996602c30e56c4d96bc1859ceedd9dfc8495a92d47333f7178e50cb5b80",
+    "constant-sigmoid-shared-adc-lognormal-settle-P2": "ae8cfaefa71e85b9658c2e4ca11ddc16bb14a17f72417094535b71eac9a35173",
+    "constant-sigmoid-shared-adc-truncnorm-exact-P1": "9ada9eefb563ed73c19a066eca2b116ba1a97906a5f1d592569d0f2c63a75c90",
+    "constant-sigmoid-shared-adc-truncnorm-exact-P2": "7b32f2723a833fcc9309f6ff9ec0fd8785d50dcd90fbeee1b641074d3fd849f6",
+    "constant-sigmoid-shared-adc-truncnorm-settle-P1": "90d85938560348a0d3a8eab3a31ed87bce84f6d4d94166911878f5ba75947a5f",
+    "constant-sigmoid-shared-adc-truncnorm-settle-P2": "84c2a201bdf8482a1621b0a06a3240fea29db4ae28ada74beaf4918bbda769f5",
+    "constant-sigmoid-shared-bypass-lognormal-exact-P1": "dc11c89322e0688cef1572659c9e18b6c22c355c579044d3355947252505404e",
+    "constant-sigmoid-shared-bypass-lognormal-exact-P2": "267b2c69defcef46249085f9c1d700ae8665a4bfe21c1255d907774d94e5dd5c",
+    "constant-sigmoid-shared-bypass-lognormal-settle-P1": "66662789a9867efac480c3f196de0b815f5b645b66a2d2cda266db8358041d9f",
+    "constant-sigmoid-shared-bypass-lognormal-settle-P2": "f44fcfea71c7b2d46687635b0ec88ebfdcf7131fe3ba2f5ba9c43eb32549fbd8",
+    "constant-sigmoid-shared-bypass-truncnorm-exact-P1": "6443d4ff0a8b03cc8a9e8b529180509bce5175c674d65843269b1f5fa45837b9",
+    "constant-sigmoid-shared-bypass-truncnorm-exact-P2": "1748d0486362dff2c40640df5ae721e5622fd1aa33c65b340a24bf2023b261eb",
+    "constant-sigmoid-shared-bypass-truncnorm-settle-P1": "5bb8108acadf7b8284965772987662a3736b65ef6d3055fb330f59cc379de092",
+    "constant-sigmoid-shared-bypass-truncnorm-settle-P2": "a1377599e2838c1e07653216575ee482f8d72a6a5ec3f400252ccdaad636f299",
+    "constant-sigmoid-split-adc-lognormal-exact-P1": "126cece6fcb5298d45a5a6ab21495e903cf409284ae473ddd91a13bc8585c9f2",
+    "constant-sigmoid-split-adc-lognormal-exact-P2": "355b5e889531b99e221a145d3e7fbe248536bf5a7ce92c6b82cc0a18e9b4f1cf",
+    "constant-sigmoid-split-adc-lognormal-settle-P1": "3a61e0e93eceb45be59fece4ca3b73b3f355bcd7f76a5b5dca6a8e321d3749e0",
+    "constant-sigmoid-split-adc-lognormal-settle-P2": "e72a8716e2590cba84e5ba7be74dd7df18f9bfec31abba50da1e5e0be252a754",
+    "constant-sigmoid-split-adc-truncnorm-exact-P1": "7aa8aeed8ce27cfc9ae93120a14ba0068d392c41f1e6bd2596dec5c47a0c4d33",
+    "constant-sigmoid-split-adc-truncnorm-exact-P2": "714eeb5247619b63cc62a307e151f90f9a9cc58244c926a8dd8c1fa262bc2994",
+    "constant-sigmoid-split-adc-truncnorm-settle-P1": "d29ac8c8650224262dfce7626d5226e3298558fd25cf3d9b66cc90960d143612",
+    "constant-sigmoid-split-adc-truncnorm-settle-P2": "294c01dc87b0b1b86ef3e4a32c3ef323eb2c177ffa3b91eddad223a2a5b46d8e",
+    "constant-sigmoid-split-bypass-lognormal-exact-P1": "ea9b8c2ae06efc238d19ace1793787e4d4fc0046ea9439515fe819f9f513383f",
+    "constant-sigmoid-split-bypass-lognormal-exact-P2": "60be2c85fd42dd917c53898fc4452d3dd85fa38857004f0c6863743e64ad214b",
+    "constant-sigmoid-split-bypass-lognormal-settle-P1": "55f1321e86cd606290be376b83aec8c893ceccc9e0881a2e602a98d7257c328c",
+    "constant-sigmoid-split-bypass-lognormal-settle-P2": "849ce91d3ad2a58970c76bab60fdf4d9df771236b1b1e84106d8b1ff17f28bb9",
+    "constant-sigmoid-split-bypass-truncnorm-exact-P1": "0dff448fc1538c235445edd698764971d88f4d149aaa59586db573679ef62e0e",
+    "constant-sigmoid-split-bypass-truncnorm-exact-P2": "a47778b9e0f8d172b99154a41d657ec62715fd9bdaa218fb52785871e1b9e837",
+    "constant-sigmoid-split-bypass-truncnorm-settle-P1": "a05dcca15cf40c7bc42d21c169176ee9000f88a5c5aed52cc9958a9cf5bc7b40",
+    "constant-sigmoid-split-bypass-truncnorm-settle-P2": "2d01142fa697d0cca893b9b1ccb01e1398816d3608cbd329f2ddb6aada8f9019",
     "dot-ideal-shared-adc-lognormal-exact-P1": "f9d13ee5426aea76e578ae31411cbbf2c01017edaae3886ab46cb5d8cb21a439",
     "dot-ideal-shared-adc-lognormal-exact-P2": "b236ab0c47d8a38510d6d23a8065262be45c4bea01643910e384a7a8b95fa3d4",
     "dot-ideal-shared-adc-lognormal-settle-P1": "9c419f17a311aaf951ff1cc5206ae9e2559e27cd73b93213ce1e40df7e6973c8",
@@ -266,68 +266,68 @@ GOLDEN = {
     "dot-sigmoid-split-bypass-truncnorm-exact-P2": "40b34c002f6d2a47b0c930c909961441f29b6dc6e6589a7c1f3d47fec680a639",
     "dot-sigmoid-split-bypass-truncnorm-settle-P1": "1eb6f2f3a6afb05f2399aca9b1037cfc662dc3376bd22d1937415d7451b78123",
     "dot-sigmoid-split-bypass-truncnorm-settle-P2": "79ae861cf7aa3d60a3fb12cb9790de5e8e7c96406e79ed559c2738a761db3e4c",
-    "step-ideal-shared-adc-lognormal-exact-P1": "00a85bc7e8f0a91d2ecbaa83b66f62a7bb6e1eeae054f229e8b145779e10ed85",
-    "step-ideal-shared-adc-lognormal-exact-P2": "c6d352409d38d251ff69f1bd2758bb5ea03cf33ee26795327671f3cad444f6af",
-    "step-ideal-shared-adc-lognormal-settle-P1": "19c70d6984b228bb74cbc87105aa15e4d2cc36ac9a3b3ac1553217d695c447d3",
-    "step-ideal-shared-adc-lognormal-settle-P2": "45557c53469bf059a3a901f2fcda0cd382e846aa7e2dd8f29c3e6efd001743fd",
-    "step-ideal-shared-adc-truncnorm-exact-P1": "c750ac24cb5592cd7ec48cd8ff275ae4648eade7d4ff9983a7f14cfd84549858",
-    "step-ideal-shared-adc-truncnorm-exact-P2": "1c78c246096d241d9bf8a733dc0dc16210ff626377bbcc4b883ad9089117665a",
-    "step-ideal-shared-adc-truncnorm-settle-P1": "bf8da7cb9d7334c328c66a1b2187b76dbcd3b20fa7d236e83b198aec2cf06930",
-    "step-ideal-shared-adc-truncnorm-settle-P2": "b664873e911de588c8335a563c18ef502b601f1b0fe2162bedacc2bf357e60e5",
-    "step-ideal-shared-bypass-lognormal-exact-P1": "59c70b3e8141f9288f4a39b00f1ea910aa4d64e83e55504ca94b9cad9c3a8f8e",
-    "step-ideal-shared-bypass-lognormal-exact-P2": "719ba809d6d706681e9f6e1c778f3d7405e77f3a735c43292047522815593578",
-    "step-ideal-shared-bypass-lognormal-settle-P1": "3f21c5758671e41ae221ff4d9e908e988df03f1977aca042a48b93c556a1df57",
-    "step-ideal-shared-bypass-lognormal-settle-P2": "1afe19eaaf8e7752b33076c17ec0643efda9e0d8c5ead84b15d8d2d167f93cae",
-    "step-ideal-shared-bypass-truncnorm-exact-P1": "493b459a46641c4e89e82870095e202e9cf44042ed6506a5571cd6abaf9994df",
-    "step-ideal-shared-bypass-truncnorm-exact-P2": "671efb0e28e6a4f29161dc22ba4152e7539857ee8fc5ccc83304b9b2a6d5491f",
-    "step-ideal-shared-bypass-truncnorm-settle-P1": "c9c5196d4dfc8388a22d3d4545c3e1a8f1afeb734a4abbb851310cd5ae0eec78",
-    "step-ideal-shared-bypass-truncnorm-settle-P2": "31d3e2d62e8252c75936ed6721fcb78eb664a8503297e6d4dd66417dcc226aa4",
-    "step-ideal-split-adc-lognormal-exact-P1": "bf05c63651ac41b7e73352b2c9348993d3ff8e6dc2321843991c09e91819ab7c",
-    "step-ideal-split-adc-lognormal-exact-P2": "818544619c5c9e0a789cddd022eb73c1ed3fa8ddedadfe97fbe3114364cb88d1",
-    "step-ideal-split-adc-lognormal-settle-P1": "bc189db051b38c07f21e026c945162fefc9641ec76e1c1be9e61ce30ef64a84b",
-    "step-ideal-split-adc-lognormal-settle-P2": "1e5291c2b5e7445013351e7d94fec9c56fa8b2ae0329fa9a2b436195890b4cce",
-    "step-ideal-split-adc-truncnorm-exact-P1": "9f46e5c755df387f469ced591946ca25fcb759695118e323e823b1f63c93d825",
-    "step-ideal-split-adc-truncnorm-exact-P2": "4b7af73c4490aded3327c0b0916c810a7d0fcf04865c1f2e39603bb21a6cdb4d",
-    "step-ideal-split-adc-truncnorm-settle-P1": "08501295b9b0a23619f1ea759ba407e64561495d67528bec7a41d66a9b55b567",
-    "step-ideal-split-adc-truncnorm-settle-P2": "b21e123c8b02c67d38c3399925afbd0c9c4d602b9c877d3883e5d51343a00ce2",
-    "step-ideal-split-bypass-lognormal-exact-P1": "b474514d475fc8a53e0a07ab00e6cb38ee179cdfa77126e18b9d277a6191055c",
-    "step-ideal-split-bypass-lognormal-exact-P2": "6882fc016c6159c0e9b3e0a8913e34e1303a792f2dcc9acbcc55def1d5a34ff1",
-    "step-ideal-split-bypass-lognormal-settle-P1": "e73dacaca62397e96ffabb10c1621a25d59884d1e9fb2cc8cb70e125dfcb3ba5",
-    "step-ideal-split-bypass-lognormal-settle-P2": "2ada94d254adc4d0ca32b213abd45a317c95d924af7a5c98dc8049a52b72f3a8",
-    "step-ideal-split-bypass-truncnorm-exact-P1": "55af4a02409699e1aa6e8aca89b2e030bbae09088a418cb5b80274d8da9ef446",
-    "step-ideal-split-bypass-truncnorm-exact-P2": "9379a7ebf1dc5559d040da26c5176ed98f5804a08c4e22f801345de974db8c7e",
-    "step-ideal-split-bypass-truncnorm-settle-P1": "05e463c0a7b47d00501060cbd407f524ef6c0bd544482e2676c9aafeece4b99c",
-    "step-ideal-split-bypass-truncnorm-settle-P2": "8832b290f4e520b006c5a8063116ccff8b9ca20028550b08c1392571dac6ec82",
-    "step-sigmoid-shared-adc-lognormal-exact-P1": "8d801dc042469f605304f73e2719b92a1267fb9e4adb935e2c6f7a05e3b6084c",
-    "step-sigmoid-shared-adc-lognormal-exact-P2": "dea3592fb3bff5111fc8489bbd5b0e7045535553e3ee1863eb94ec220ddebdc2",
-    "step-sigmoid-shared-adc-lognormal-settle-P1": "73fc01274aa8809711afe46e0d1343fbd70a8a23c5fcc1a5ce62c790353e1e12",
-    "step-sigmoid-shared-adc-lognormal-settle-P2": "bbd5749677c16d732815702981e9278b6131407c8cc78fdca0717328ce22632a",
-    "step-sigmoid-shared-adc-truncnorm-exact-P1": "a35824b9e1a84af33bfdaae56f94173be7311cbf36686c62e56ba2b522a8aac7",
-    "step-sigmoid-shared-adc-truncnorm-exact-P2": "c3777a1f1f78cb3fa35d62cf4d4766a28bd93ae378af8b30173c5b73702ad19c",
-    "step-sigmoid-shared-adc-truncnorm-settle-P1": "f2dfa3672aa632f77d723d9142feb012111a8cf9e8a3021a30bb770859844324",
-    "step-sigmoid-shared-adc-truncnorm-settle-P2": "6aa259f9ec73380ab7f07db7e2637fa51fa89d2a94bea33c28f6eab0c76c8c9e",
-    "step-sigmoid-shared-bypass-lognormal-exact-P1": "b3db63a872c3676d56ea9a67d3b74947945e043b4e5572d29d29346ebd82e3e5",
-    "step-sigmoid-shared-bypass-lognormal-exact-P2": "3dc6a9227a061f2e7cec395c449bb7d7833080f8cedabd901152d6c0ae304525",
-    "step-sigmoid-shared-bypass-lognormal-settle-P1": "39912123858209d371b591027f5a96ed00cc59a02ec7d70d5fd33206511bad0a",
-    "step-sigmoid-shared-bypass-lognormal-settle-P2": "b9c76d8c51a45f35e3c854a1afb3113f7765d7e977efd303c4c9060dbf833424",
-    "step-sigmoid-shared-bypass-truncnorm-exact-P1": "c8090368cb63c8414b412b50eb5aec5f8e0b484d0c117ba28b68b064e617fd79",
-    "step-sigmoid-shared-bypass-truncnorm-exact-P2": "a9c5bc78c1a1ae5710a345e49a81c9ace5d74138a186ccac8e2cc92cdac0a795",
-    "step-sigmoid-shared-bypass-truncnorm-settle-P1": "217b8a9f373bc60ec1efe2153081a5555aa35506f94d280964a013f0cf4ed616",
-    "step-sigmoid-shared-bypass-truncnorm-settle-P2": "328b8805400028b42d7c8fe8cf2631bd1cba5567aeafd3079bc961dd0e697f5b",
-    "step-sigmoid-split-adc-lognormal-exact-P1": "08557111f5290d91cf743fb5fb0a84c632895647502005cd610132c10d31c4d8",
-    "step-sigmoid-split-adc-lognormal-exact-P2": "8dc3e3cab0315071870d2f81cdd5174384a70837c964da0ee25c9bd0bb7ec3c3",
-    "step-sigmoid-split-adc-lognormal-settle-P1": "b5c454380822afc65db638cebfaf43f9d086adcd070b90697d647cb466f3f4ff",
-    "step-sigmoid-split-adc-lognormal-settle-P2": "a9d29d0f856584098d3725e563ca8ec6634cc3024cc27974ddd15cbcdc3d428a",
-    "step-sigmoid-split-adc-truncnorm-exact-P1": "ad7c395f339d91f7bf601737e1428d3a470025476eb3800c93c352288bcb481f",
-    "step-sigmoid-split-adc-truncnorm-exact-P2": "2c8d728a24a1d968bb798226778b02dd320a4d35130182478555bd197dfe4e0c",
-    "step-sigmoid-split-adc-truncnorm-settle-P1": "943bdb7e53254f667a6671a1b6d1ed1d1323e8f826659b56b79ac2258e1bd7d9",
-    "step-sigmoid-split-adc-truncnorm-settle-P2": "1cd643e924f89c5805dd119cbc323e803335541150545d8e67dcc171efc51225",
-    "step-sigmoid-split-bypass-lognormal-exact-P1": "eb72027f032597761198a32984224eae967bbb40ed7965f20bc8bedc0b042d3e",
-    "step-sigmoid-split-bypass-lognormal-exact-P2": "23b307256b70a4637ef7b4135899bcd752c2a57a31348228df7c0fa0dbbc627c",
-    "step-sigmoid-split-bypass-lognormal-settle-P1": "57e2fb28c6c5ac71751b9546e03e14a983697772a8ec25ce9964aa503a4b9a59",
-    "step-sigmoid-split-bypass-lognormal-settle-P2": "62dc9877bc172ac17d0d037925633e01c41d63bf7ec14d835586434a2fd7c1fc",
-    "step-sigmoid-split-bypass-truncnorm-exact-P1": "3ba0bfed450758c9cfebe5b2812c4edb7c14b68f3bc8d6ae71555a775b44089d",
-    "step-sigmoid-split-bypass-truncnorm-exact-P2": "2e2ad6b559928d612039f50a624add169913432118988afe8268e4ec5acfb49a",
-    "step-sigmoid-split-bypass-truncnorm-settle-P1": "80b31a49fbc45e458d762f5f94afbe62d06fb98fa2812f81b9b488cf9076144c",
-    "step-sigmoid-split-bypass-truncnorm-settle-P2": "f7d1b0c708504a8dbdeaa0c92801f5e69dbbb554b84f4a01bdac2c213c534adc",
+    "step-ideal-shared-adc-lognormal-exact-P1": "0f49b2cd3372b6854961b7fbe0307adfdb7a2965a1a7305dfc16c65fb4fb4c0f",
+    "step-ideal-shared-adc-lognormal-exact-P2": "c48e107effdf953857871d9c8f22201289a904ea1f880b550cd8045b011c1659",
+    "step-ideal-shared-adc-lognormal-settle-P1": "7b96b2ae138e54808652d5d408b23cefe649a0de5c6783ed09e8f27e23cf8a19",
+    "step-ideal-shared-adc-lognormal-settle-P2": "82604f1774392f324114f1ccbe40ed44867313d6fe03ada925730e6d220e8757",
+    "step-ideal-shared-adc-truncnorm-exact-P1": "612bee0f2024b835692919f204f4cf37c2a96c0ff79c0492850daa790c83abda",
+    "step-ideal-shared-adc-truncnorm-exact-P2": "543ce1d7f7b8edb96e3fcab44213c69663201c31e6e26416c0b63a9460096aff",
+    "step-ideal-shared-adc-truncnorm-settle-P1": "c19f50e2c31684b52d369dd24a5cd823fbc627718f6be0930311b5a918265455",
+    "step-ideal-shared-adc-truncnorm-settle-P2": "66e838a233c8bf2de087811757d5a0f83d14755f4bdc2929e1b7a8ae64742240",
+    "step-ideal-shared-bypass-lognormal-exact-P1": "4416b69a9ec362b4213f25a0dc1debe94976a8fe5909d0fe6043c92e674d628e",
+    "step-ideal-shared-bypass-lognormal-exact-P2": "855f604d544511a6b2ff67bd1d4e95154132a05b2bb792474cb51f0b24f53b4e",
+    "step-ideal-shared-bypass-lognormal-settle-P1": "09d056c9a3138090e581c36817d0170b57acb7e072d765262b687cb400d73e3a",
+    "step-ideal-shared-bypass-lognormal-settle-P2": "fb4a7f8777d95552b1c2cc266b66ba5915efeeac0ae4bc93b964e79c8fe5a67f",
+    "step-ideal-shared-bypass-truncnorm-exact-P1": "0baa2d45f113de0a52b8283b82eebc4c3d6bf0fb53b6420ed32057c3bf0d12e6",
+    "step-ideal-shared-bypass-truncnorm-exact-P2": "a2fd633b8923bb64a59e02ce0463d7ac181eb316bab9f56377b9e4afbd26affc",
+    "step-ideal-shared-bypass-truncnorm-settle-P1": "f5ee556350e3330cf6f8a974db1cec4048bd70ffbcd673b212f99f522e99729f",
+    "step-ideal-shared-bypass-truncnorm-settle-P2": "3bd6f8b489373e23ae3d4b04a5501aee7bc9aca5c328cca7b33499642867b456",
+    "step-ideal-split-adc-lognormal-exact-P1": "13c629523f055cd2b950b1897bd69e02897e1e99cd099f7958c3ea1c8c3b6cc1",
+    "step-ideal-split-adc-lognormal-exact-P2": "6a539aa4d7dbbbb4705ac9823e084e4c5ec29936423fae9ff72114ab449a0664",
+    "step-ideal-split-adc-lognormal-settle-P1": "1673789eda9ac6dd183dd588660bfadd68505bed0d3d60a36a7e82a040ca7fc5",
+    "step-ideal-split-adc-lognormal-settle-P2": "d7315e2a40f3d3064f00b741ea8dba8550bcc38823072ffadd306542f39fb14b",
+    "step-ideal-split-adc-truncnorm-exact-P1": "f4c22794e657ce24fe9664c2a921ad9812bb8ae8ff2f55d7825d694ea0623688",
+    "step-ideal-split-adc-truncnorm-exact-P2": "40c9cc12aba668c5fc6353a96e085f6486da8932f768bec7e6567e151d635a9e",
+    "step-ideal-split-adc-truncnorm-settle-P1": "e3ad3d76550c87400c33d3aff9fbd964babc68d6c4e3adb4c174ae64dac36662",
+    "step-ideal-split-adc-truncnorm-settle-P2": "cb088e8b5384a47266c643dfd70c9f4e53079c53d04189c1a679522ec6a8f761",
+    "step-ideal-split-bypass-lognormal-exact-P1": "eb7ddc46395313061b5738d73af829d8988621befe53a8284a84262718d46732",
+    "step-ideal-split-bypass-lognormal-exact-P2": "6bfebd030f5be16a2ccd506bde570b3ae63f72fd8355a83e8218187302647e56",
+    "step-ideal-split-bypass-lognormal-settle-P1": "08a81ec9c5fec6367fa26a3a95a9cf13412372641581a817493ab5f2865a4f6d",
+    "step-ideal-split-bypass-lognormal-settle-P2": "5a0122712c6b6cdc6d5391bf1e6ee0df8b51d18bd631040064f490a637900465",
+    "step-ideal-split-bypass-truncnorm-exact-P1": "a2532ee90292e5c6d9ef24d12485ea3cdf82b063f8f590eb4793fa0291145e5f",
+    "step-ideal-split-bypass-truncnorm-exact-P2": "42fc2915478d95ccb506a64e7baafb64cbf7a03655d9e63d3af592808e65a95f",
+    "step-ideal-split-bypass-truncnorm-settle-P1": "3963cc4d41a40025b6406165660a30456cdaad46d75eb94575899c234c61d90b",
+    "step-ideal-split-bypass-truncnorm-settle-P2": "33ff2a1113d085b2c20af274b55326f09625c6f259f206a1a789fe7b0f352852",
+    "step-sigmoid-shared-adc-lognormal-exact-P1": "aa6c8fff4450463e634d426276a98bd96b46ae218f23975be865dd4dd11383bf",
+    "step-sigmoid-shared-adc-lognormal-exact-P2": "8b4e5280d5a87039baf8e2a7e9043da20af176a52452070c93152cb3d5cbee2d",
+    "step-sigmoid-shared-adc-lognormal-settle-P1": "6dd354a045c3526a07721fdb5b9b01cf9beb0502a67bca497702197ee1a38df2",
+    "step-sigmoid-shared-adc-lognormal-settle-P2": "80b3151f00ddad4960a82079d562998941fd0f071b907564aefd8b81e67d95cd",
+    "step-sigmoid-shared-adc-truncnorm-exact-P1": "72e50ec9b237a7e5ea517002891b426a1c0563121dd3666e0e3e1e5e11120cac",
+    "step-sigmoid-shared-adc-truncnorm-exact-P2": "e40fd741156e5fc528b0af512cc5a25f2fe825405724e25da40152c76b698486",
+    "step-sigmoid-shared-adc-truncnorm-settle-P1": "5f1dfc897144087df78e349677cb04f2319ab96bfe52f4e35f1d8d6c036c028d",
+    "step-sigmoid-shared-adc-truncnorm-settle-P2": "3f711df47f7259214d55a551ca37127ca10c90f684f3cfdc64947751ad108245",
+    "step-sigmoid-shared-bypass-lognormal-exact-P1": "f482e593053fab5e43e9f36ae850f84cd363cde95e63b3b4fe098eda5722c8a4",
+    "step-sigmoid-shared-bypass-lognormal-exact-P2": "ce1d1f5bc4f6b7747bddffd35c333d2554af077c84ad71e11e1f84a287079346",
+    "step-sigmoid-shared-bypass-lognormal-settle-P1": "6f47d5136cc31d1b58f5ba8c9113b5db80562d72a3072deceb67442aa1916b22",
+    "step-sigmoid-shared-bypass-lognormal-settle-P2": "708d60afcc4fb0a32eca35667681b0ef56e735f404796aa27e6ac19c7521c90e",
+    "step-sigmoid-shared-bypass-truncnorm-exact-P1": "08d71eb7d17e95bb6c91fc4caf96568ff6384d2bdcf89979a40a88334cc144bb",
+    "step-sigmoid-shared-bypass-truncnorm-exact-P2": "dbd5a2a961de38a9f2a3692438aa934372e2191f2594109b18d8dbe2a1452cf6",
+    "step-sigmoid-shared-bypass-truncnorm-settle-P1": "8848b9698dd408bb0d3474c0db4150ca0ea836e340de9bc2117a9844aa50751e",
+    "step-sigmoid-shared-bypass-truncnorm-settle-P2": "6129719defc552737567ea81231e74ff44017773c5e3b549d3ba7e8ab1d86f97",
+    "step-sigmoid-split-adc-lognormal-exact-P1": "7e3653356a9e55329f5383c394876cb5415305e29e5d6eb2a5d41eba3a17014e",
+    "step-sigmoid-split-adc-lognormal-exact-P2": "0cb0e8d4f534723fd92988e0f82c3e03a677bf3b4697da814f45899797ba5aca",
+    "step-sigmoid-split-adc-lognormal-settle-P1": "fcf757e328554abf7e0095631511487b29eb67c5c195710bb1134c775fb98c85",
+    "step-sigmoid-split-adc-lognormal-settle-P2": "9ad9f858d7f307fef20be546da0a4da7d2101bbfd6f7dd9dc8ecef17385386f0",
+    "step-sigmoid-split-adc-truncnorm-exact-P1": "44751daeaa4226f08f70e317a1784bb01e3f2fc96688bd7b229dca1d8f99be1d",
+    "step-sigmoid-split-adc-truncnorm-exact-P2": "495ccfa37444efada7315730ae292222226db4d280206f0e2f91da7639802b13",
+    "step-sigmoid-split-adc-truncnorm-settle-P1": "2444d17140f6410a1b9f009f27ca44c6d7ce70562f17e594d27a058252ee1335",
+    "step-sigmoid-split-adc-truncnorm-settle-P2": "ff5096b93ed75b8262c656822fb69bcbd953d81ae16b38f39e718d48419d7785",
+    "step-sigmoid-split-bypass-lognormal-exact-P1": "f40937aaed2c69ff755e14a08b1afecf06b3bd5ce2b1a45398b9efa2d152cf0e",
+    "step-sigmoid-split-bypass-lognormal-exact-P2": "cd2b2ec682c510e0cff7c73a3074c3e5391f6eed428e6f00054a1c01ca8bcdbb",
+    "step-sigmoid-split-bypass-lognormal-settle-P1": "54267cd387c4561669073c297dd6593f1204a00237fdc223babb8039bf5f93ed",
+    "step-sigmoid-split-bypass-lognormal-settle-P2": "5bfb1c9b8adc9218ffccdec9574935cd4ed107340d4cb4bbb7fed050f27a482b",
+    "step-sigmoid-split-bypass-truncnorm-exact-P1": "8e1d2c58fc700c0f0989725b0902f5b51f0b9fd92105801b389f104adebf1282",
+    "step-sigmoid-split-bypass-truncnorm-exact-P2": "2c8b287ad135295eb56d7b3c389a448ff6bd5a29fa6f3e7249169e2275ecf816",
+    "step-sigmoid-split-bypass-truncnorm-settle-P1": "30b08b74c95bc66a4edff36d76e2b5f3ae31f215e2726b9b73dcb3df04bf7170",
+    "step-sigmoid-split-bypass-truncnorm-settle-P2": "cd132c0928e0ff51a69e1b9012e4b8d2be26e8d05c8e9cd7f12a212f12cdc798",
 }

@@ -5,9 +5,11 @@ so they never cross a strip boundary.  The frames here span several strips
 and end in a ragged one: 257x1031 (rows narrower than a strip, many strips)
 and 1031x61 (tall, narrow rows, few strips).  Each case pins one SHA-256
 digest, hashed as in ``test_pipeline_golden.case_digest``, over a
-``run_dog_pipeline`` pass; the ADC-mode digests were computed by the
-full-frame implementation that preceded the strip scan, the bypass ones by
-the first to apply one effective weight per cell.  ``correlate_valid`` is checked
+``run_dog_pipeline`` pass.  Every digest here packs the oracle, so each was
+regenerated when the oracle became one correlation with the difference grid
+w1 - w2; the code frames inside did not move: the ADC-mode ones are those of
+the full-frame implementation that preceded the strip scan, the bypass ones
+those of the first to apply one effective weight per cell.  ``correlate_valid`` is checked
 against direct per-output references on shapes that put one row, or part of
 one strip, or leading trial axes through the strip loop.
 """
@@ -147,39 +149,39 @@ def test_correlate_valid_matches_per_output_reference(pixel_shape, weight_shape)
     np.testing.assert_allclose(got, np.sum(taps, axis=-1), rtol=1e-13, atol=0)
 
 
-GOLDEN_MC = "70c546e7f9bacbb616c040b0cfe1218178df73d339f2530405ad56f2a95553e8"
+GOLDEN_MC = "149e19c16c44fecb6cf69e7be841119cabd399d1bc705a5324fe613f8642b39a"
 
 GOLDEN = {
-    "1031x61-ideal-shared-adc-P1": "4f90ed8b8b1a7a6f250dadcbeaa1abebf066c17a01c06f4ac6fd16e1c1589830",
-    "1031x61-ideal-shared-adc-P2": "7a3391bc6244759a94814f47fc66ef808105e82a7537a5fbc1fd1d1c34e2938b",
-    "1031x61-ideal-shared-bypass-P1": "1712736f26936d116979761cd87383cd45a23877f34ff6e4237cc07ab0896bcf",
-    "1031x61-ideal-shared-bypass-P2": "637c5d8183771ca3b85aa9f31c62b4b384d953dc53b2fc36bafd5b50afcaaaf1",
-    "1031x61-ideal-split-adc-P1": "c7e5a811b6b311c2f3f5cb23c3af6e5020a252cbe2d30a66ca91477308b81bdb",
-    "1031x61-ideal-split-adc-P2": "7af9a7a9959f53da7aed5caeb2e111028f2c066fb280eb70998fcd5c8bca24c8",
-    "1031x61-ideal-split-bypass-P1": "50fb01700128cf2f76cc70709f33c66f625054d73f548a039c6117253bbc0d7e",
-    "1031x61-ideal-split-bypass-P2": "f9ace99b87b9e4e1f21539891f18604256b4759a8b17f41498633a9a2fd37b46",
-    "1031x61-sigmoid-shared-adc-P1": "de7d7a50bdbd1a69a1cb65611636a9df00e9618c0dfd4f8094bc9e113b101801",
-    "1031x61-sigmoid-shared-adc-P2": "793fcb95f88047c426de31af0df147688e2317aadb4127b9275a0f7615a6bf25",
-    "1031x61-sigmoid-shared-bypass-P1": "7d641a6089edd6a99097d898cb00b6b0b5a7b05b7763ed6e97622a9bc66957e8",
-    "1031x61-sigmoid-shared-bypass-P2": "6c08119b4d25bec5a7b492c10658907c2398ffcd74d0be59419820bf518128e4",
-    "1031x61-sigmoid-split-adc-P1": "3b2fa5e50e446304a0acc7e25054d27712746d7e29f0b4195902a94536925932",
-    "1031x61-sigmoid-split-adc-P2": "ea0668f568318e5f15dc18fc6fe670a6eb124ca3fb73490248623d9172fb7b4f",
-    "1031x61-sigmoid-split-bypass-P1": "a22ae5e5c71a75eee86f981ddc723b0e919fbcc0a65dc9e0fa0163066e484053",
-    "1031x61-sigmoid-split-bypass-P2": "2990c99d38ac156b0bbd7e06091db7416de0b06e66220f0ab14a2b445a5fe77b",
-    "257x1031-ideal-shared-adc-P1": "2facc61d6e756890b6c7e1092460f34199188a9522d064da1d37f9f1f4e6d654",
-    "257x1031-ideal-shared-adc-P2": "3595de4874e2aeb5d30d355128b2884ca8d122ab1d7e75e7a555061a316c63c7",
-    "257x1031-ideal-shared-bypass-P1": "167270c8028d805c90cc35d641fb6260377759c795b29c7eb3f6ca091bccafbb",
-    "257x1031-ideal-shared-bypass-P2": "a30f13761f3c21e73266d418d7b7478513728a3579477a5c414c96362e683c1a",
-    "257x1031-ideal-split-adc-P1": "ef2472451acc88242887e2fa8cb5ed8091792949c1eb40ce2f4ff5daf9c3cfd4",
-    "257x1031-ideal-split-adc-P2": "5e6c8cc6bb79240dd49a1644cc14ab403d9d762fb8f95d8094313be49f77151c",
-    "257x1031-ideal-split-bypass-P1": "6613efeafc500c1db4ad772a9ab8bbbfbbe706a93abb55ca538e0014411614a9",
-    "257x1031-ideal-split-bypass-P2": "f62cdbe17949966d4dc3ee94628909024bd39c0824ef168e31a59f09b81b033f",
-    "257x1031-sigmoid-shared-adc-P1": "cec872537f5d215f85ff9cf9793b49aa51ffadad55d9ba649e3c550dfb30d4a4",
-    "257x1031-sigmoid-shared-adc-P2": "d575e985aecc721c590b3193d726a738520fffe796ba30bc0651aac90fd613ec",
-    "257x1031-sigmoid-shared-bypass-P1": "d4ab7085612d07c84a29e511d98a51e067523cd2a4f1a70b550d890502cab5f2",
-    "257x1031-sigmoid-shared-bypass-P2": "1eab29c0ae20d939cacd750589a1ee48c5944b6dd1cb7a4d120ae75fbd23f19c",
-    "257x1031-sigmoid-split-adc-P1": "79955109d4c2ca6fc754257ddda98955dfdef1bcbb4acca12a99d3776bb97e7b",
-    "257x1031-sigmoid-split-adc-P2": "90913b5fe998ea120894c7037203550fceee9c228e4e4ec5aa895170ca4f1755",
-    "257x1031-sigmoid-split-bypass-P1": "e837cf6ff34487ed709072f6968c60ac665fd648b5097acf8f86eda8c206088b",
-    "257x1031-sigmoid-split-bypass-P2": "7c0a798b56fd2fa73ffc3ee2a3eda9a490b8499fac9cbc776b701eec0e9306da",
+    "1031x61-ideal-shared-adc-P1": "5071bff554c746525b0559a6318c64622aee8e39bb1f1f1957b8d720a0d96651",
+    "1031x61-ideal-shared-adc-P2": "99f4644c65e0ee9e29ed2af75eb54eb0b2eb93ebfce6fe7c05ff049d0aa0a7cc",
+    "1031x61-ideal-shared-bypass-P1": "7ec2f5014fbceec07a5e82e74aceacf84f9f1b03a9e6b171c22da5b2eab92eea",
+    "1031x61-ideal-shared-bypass-P2": "11a610f71934a96bbaf7199994b7e6f61fcd66edbb3839aed5f726b3ceb354ad",
+    "1031x61-ideal-split-adc-P1": "d5739d4e38c4dd388d19edc87b5e7aed45b9b174c6dc947123a94fcd67a44a0d",
+    "1031x61-ideal-split-adc-P2": "a160bc4e4d861d00dc9aa59591406d883684114579298083dc92fee77fa5e11e",
+    "1031x61-ideal-split-bypass-P1": "76eccd86ed77d21705132928d744b02bcd47c6bb614436472a14b74e20542cc4",
+    "1031x61-ideal-split-bypass-P2": "cd610012c20eba45b0a799710b59aa1699332b90321443fda9b20b3c24c88e49",
+    "1031x61-sigmoid-shared-adc-P1": "f557ea10f85f7edd39ac0ca231dff72737ce91564af8b6e6e4dfef96b5d76420",
+    "1031x61-sigmoid-shared-adc-P2": "56186ef016ed54f1f3fe487bb4e1bd10a99bc821fa4b6dff04348656ee243bd9",
+    "1031x61-sigmoid-shared-bypass-P1": "9bfbfbd289ae8423a3341ed0a5160d3b4ea24e435090e7ff0af10cca060bcf60",
+    "1031x61-sigmoid-shared-bypass-P2": "eb111a176c8df67ee42cc709c491c685edfd9486be79df5e3fb51c99c025ac9b",
+    "1031x61-sigmoid-split-adc-P1": "9ab35190a2ece0963b1c9152d830b184cabf1285a72703a49c47b882f52fb125",
+    "1031x61-sigmoid-split-adc-P2": "000f007c1a87b15583a3edaf88f0ea22d51e86a17d33266a6867bf190611c6b1",
+    "1031x61-sigmoid-split-bypass-P1": "0b9f5c58e23d4edfac806b5a2a6683b9caba8724e855032972a8132adf5c2774",
+    "1031x61-sigmoid-split-bypass-P2": "855b970d1ebec54d4eaf94ad44195f82ccd0fcaf1e0a31898217a7bdd4293de7",
+    "257x1031-ideal-shared-adc-P1": "5407c6b79afb16a65581fc1b312db3b620ca8c7a1f56d50795badfe901354f2b",
+    "257x1031-ideal-shared-adc-P2": "513620e509ddc57039fc72ab48dd475cf48f89212389939540ff11007532127d",
+    "257x1031-ideal-shared-bypass-P1": "899dd3d8420f136f2242714e285d2be2ae5306176d2407a646109a65caeecaf0",
+    "257x1031-ideal-shared-bypass-P2": "67374118c2a4147cf79b9fdb829e90acd883e927e1ffde3ddea487ab2bbbfffe",
+    "257x1031-ideal-split-adc-P1": "91d209c63999025e555f45d38bd93761e29b6bbd81faadebff9833464e95d682",
+    "257x1031-ideal-split-adc-P2": "79c9df3b6dd03b05b74f6d333e8b5c6f51cdb65092133bcd13de6babdda49451",
+    "257x1031-ideal-split-bypass-P1": "6c18dac02c91c7fbeb2009dcf8d56905d32ea4953b2189daf423ca23549179d6",
+    "257x1031-ideal-split-bypass-P2": "a2b28eefbdd1a29248c9ba96ee15633fb547a399dde17341a2497dd7143b3051",
+    "257x1031-sigmoid-shared-adc-P1": "3faf39dfcdb7c6c03f46b7025205d2feb0593888ecbf434b48997c859e398a88",
+    "257x1031-sigmoid-shared-adc-P2": "171b8988981f0c403e04e14c9337d4b047bcab2dfb48ee2ef328640013a115e5",
+    "257x1031-sigmoid-shared-bypass-P1": "c5b9c3ec850bf22214aee4d5b9125f3ebf556802cf708b53213f93054e6fabef",
+    "257x1031-sigmoid-shared-bypass-P2": "8cb1d1c4cc391b6ec3830427a1119fc35a34bd51b1694b15c4a92db9e7e55247",
+    "257x1031-sigmoid-split-adc-P1": "0db27f1ac6b5501592a934f8dc3e27211cf2d345fd4ffabde5d15a1717c7f7c8",
+    "257x1031-sigmoid-split-adc-P2": "3d8cc0398d779992dd1b0af0cb5f04bc8bd71f6e105c58827051e307ee25c5f1",
+    "257x1031-sigmoid-split-bypass-P1": "ea5cf85f0258294dbe56f7f72cd811a2bec3e041ebf3d49e3e2dfdabf529ce1e",
+    "257x1031-sigmoid-split-bypass-P2": "7056ec3d2abff341b94677e9b021becda19eedbad316c6ade21d7a5e47f80a5e",
 }
