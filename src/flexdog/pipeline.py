@@ -194,15 +194,23 @@ def to_voltage(currents: np.ndarray, transimpedance: float) -> np.ndarray:
     return currents * transimpedance
 
 
-def quantize(v: np.ndarray, adc: AdcSpec) -> np.ndarray:
-    """Mid-tread ADC transfer: round(v / vref * levels), half up, clamped to
-    [0, levels].  Requires a concrete vref."""
+def _adc_codes(v: np.ndarray, adc: AdcSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """quantize's codes as float64 (integral, so exact), into ``out`` if given,
+    which may be ``v`` itself."""
     if adc.vref is None:
         raise ConfigurationError("AdcSpec.vref unresolved; quantize needs a concrete vref")
-    x = np.divide(v, adc.vref, out=np.empty(np.shape(v)), dtype=np.float64)  # even for 0-d v
+    if out is None:
+        out = np.empty(np.shape(v))  # even for 0-d v
+    x = np.divide(v, adc.vref, out=out, dtype=np.float64)
     x *= adc.levels
     x += 0.5
-    return np.clip(np.floor(x, out=x), 0, adc.levels, out=x).astype(np.int64)[()]
+    return np.clip(np.floor(x, out=x), 0, adc.levels, out=x)
+
+
+def quantize(v: np.ndarray, adc: AdcSpec) -> np.ndarray:
+    """Mid-tread ADC transfer: round(v / vref * levels), half up, clamped to
+    [0, levels], as int64 (a 0-d int for 0-d v).  Requires a concrete vref."""
+    return _adc_codes(v, adc).astype(np.int64)[()]
 
 
 def saturation_count(v: np.ndarray, vref: float) -> int:
@@ -310,18 +318,22 @@ def _analog_codes(image: IntensityImage, chain: _Chain, cfg: AnalogConfig,
         v2 = to_voltage(c2, cfg.transimpedance)
         if count_saturation:
             sat += saturation_count(v1, adc.vref) + saturation_count(v2, adc.vref)
+        oracle = chain.oracle_codes[r0 : r0 + rows]
         if cfg.adc_bypass:
             strip = (v1 / adc.vref * adc.levels * chain.comp1
                      - v2 / adc.vref * adc.levels * chain.comp2)
-        else:
-            strip = np.rint(quantize(v1, adc) * chain.comp1 - quantize(v2, adc) * chain.comp2)
-        strip_err = np.abs(strip - chain.oracle_codes[r0 : r0 + rows])
-        if not cfg.adc_bypass:
-            strip = strip.astype(np.int64)  # integral floats: the error is the same either way
+            strip_err = strip - oracle
+        else:  # integral float codes, in v1 and v2's buffers; int64 only where stored
+            strip = _adc_codes(v1, adc, out=v1)
+            strip *= chain.comp1
+            strip -= np.multiply(_adc_codes(v2, adc, out=v2), chain.comp2, out=v2)
+            strip_err = np.subtract(np.rint(strip, out=strip), oracle, out=v2)
+        np.abs(strip_err, out=strip_err)
         if rows >= oh:  # the whole frame is one strip
-            return strip, strip_err, sat
+            return (strip if cfg.adc_bypass else strip.astype(np.int64)), strip_err, sat
         if diff is None:
-            diff = np.empty((*strip.shape[:-2], oh, ow), dtype=strip.dtype)
+            diff = np.empty((*strip.shape[:-2], oh, ow),
+                            dtype=np.float64 if cfg.adc_bypass else np.int64)
             err = np.empty(diff.shape)
         diff[..., r0 : r0 + rows, :], err[..., r0 : r0 + rows, :] = strip, strip_err
     return diff, err, sat

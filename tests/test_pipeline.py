@@ -17,6 +17,7 @@ from flexdog.pipeline import (
     AnalogConfig,
     VariationModel,
     VariationSample,
+    _adc_codes,
     _draw_samples,
     analog_convolve,
     block_perf_spec,
@@ -366,6 +367,23 @@ class TestVoltageAndAdc:
         x = v / adc.vref * adc.levels
         old = np.clip(np.sign(x) * np.floor(np.abs(x) + 0.5), 0, adc.levels).astype(np.int64)
         assert np.array_equal(quantize(v, adc), old)
+
+    @pytest.mark.parametrize("bits", [1, 8, 53])
+    def test_float_codes_equal_quantize(self, bits):
+        adc = AdcSpec(bits=bits, vref=1.3)
+        v = np.random.default_rng(bits).uniform(-adc.vref, 2 * adc.vref, (7, 300))
+        v[0, :3] = 0.0, adc.vref, 0.5 * adc.vref / adc.levels  # the ends and a half code
+        codes = quantize(v, adc)
+        assert codes.dtype == np.int64
+        assert np.array_equal(_adc_codes(v, adc), codes.astype(float))
+        assert _adc_codes(v, adc).dtype == np.float64
+        assert np.array_equal(_adc_codes(v.copy(), adc, out=v), codes.astype(float))  # in place
+        for x in (-0.2, 0.0, 0.4, 1.3, 2.5):
+            code = quantize(np.array(x), adc)
+            assert np.ndim(code) == 0 and isinstance(code, np.integer)
+            assert quantize(x, adc) == code
+            assert np.ndim(_adc_codes(x, adc)) == 0
+            assert np.array_equal(_adc_codes(np.array(x), adc), code.astype(float))
 
     def test_quantization_error_bound(self):
         adc = AdcSpec(bits=6, vref=2.5)
