@@ -9,6 +9,7 @@ exercise the deviation-from-Gaussian machinery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -99,12 +100,18 @@ def cell_factors(dv, params: CellParams, gamma_mult=1.0):
     if np.any(m <= 0):
         raise InvalidParameterError(f"gamma multipliers must be positive, got {float(m.min())}")
     dv = np.asarray(dv, dtype=np.float64)
+    # an infinite gamma or slope times dV = 0 would give nan: check the largest (Python floats)
     if params.model_kind == MODEL_IDEAL:
+        check_range(f"gamma {params.gamma} times its largest multiplier",
+                    params.gamma * float(m.max()))
         return 0.5, np.exp(-(params.gamma * m) * dv * dv)
+    check_range(f"steepness {params.sigmoid.steepness} times the root of the largest gamma "
+                "multiplier", params.sigmoid.steepness * math.sqrt(float(m.max())))
     k = params.sigmoid.steepness * np.sqrt(m)
     vw = params.sigmoid.half_separation
     adv = np.abs(dv)  # the curve is even; |dv| keeps that exact in floats
-    return _logistic(k * (adv + vw)), _logistic(-k * (adv - vw))
+    with np.errstate(over="ignore"):  # k is finite: an infinite argument is the logistic's limit
+        return _logistic(k * (adv + vw)), _logistic(-k * (adv - vw))
 
 
 def cell_response(i_in, dv, params: CellParams):
@@ -133,7 +140,9 @@ def program_kernel(kernel: GaussianKernel, params: CellParams) -> ProgrammedKern
         raise InvalidGainError("kernel weights must all be positive to program cells")
     scale = PEAK_GAIN / float(w.max())
     # 2 * scale * max(w) == 1 exactly, so the center cell lands at dV = 0.
-    dv_grid = np.sqrt(-np.log(2.0 * scale * w) / params.gamma)
+    with np.errstate(over="ignore"):  # a tiny gamma asks for an infinite bias: rejected below
+        dv_grid = np.sqrt(-np.log(2.0 * scale * w) / params.gamma)
+    check_range(f"largest programmed bias at gamma {params.gamma}", float(dv_grid.max()))
     return ProgrammedKernel(dv_grid=dv_grid, scale=scale, source_kernel=kernel, params=params)
 
 

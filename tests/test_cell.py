@@ -72,6 +72,24 @@ class TestCellResponse:
         for f in factors:
             assert np.all(np.isfinite(f)) and np.all((f >= 0) & (f <= 1))
 
+    def test_steepest_sigmoid_factors_are_finite_without_warning(self):
+        # k * (|dv| + vw) overflows to inf; the logistic of +-inf is its limit
+        steep = CellParams(model_kind=MODEL_SIGMOID, sigmoid=SigmoidProductParams(steepness=1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, b = cell_factors(np.array([0.0, 0.3, 0.4, 2.0]), steep)
+        assert np.array_equal(a, [1.0, 1.0, 1.0, 1.0]) and np.array_equal(b, [1.0, 1.0, 0.5, 0.0])
+
+    @pytest.mark.parametrize("params, multiplier", [
+        (CellParams(gamma=1e300), 1e10),
+        (CellParams(gamma=1.0), math.inf),
+        (CellParams(model_kind=MODEL_SIGMOID, sigmoid=SigmoidProductParams(1e300)), 1e20),
+    ], ids=["gamma-product", "infinite-multiplier", "steepness-product"])
+    def test_gamma_or_slope_whose_product_overflows_rejected(self, params, multiplier):
+        # at dV = 0 an infinite gamma or slope would give inf * 0 = nan
+        with pytest.raises(InvalidParameterError, match="largest"):
+            cell_factors(np.zeros((3, 3)), params, np.full((3, 3), multiplier))
+
     @pytest.mark.parametrize("params", [IDEAL, SIGMOID])
     def test_linear_in_input_current(self, params):
         dv = 0.4
@@ -142,6 +160,14 @@ class TestProgramKernel:
         k = GaussianKernel(sigma=1.0, half_width=1, weights=w)
         with pytest.raises(InvalidGainError):
             program_kernel(k, IDEAL)
+
+    def test_gamma_whose_bias_overflows_rejected(self):
+        # -log(gain) / gamma overflows: no finite bias programs the weight
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="largest programmed bias"):
+                program_kernel(make_gaussian_kernel(0.85, 1), CellParams(gamma=3e-320))
+            program_kernel(make_gaussian_kernel(0.85, 1), CellParams(gamma=1e-300))
 
     def test_gain_sum(self):
         k = make_gaussian_kernel(1.2, 1, normalize=True)

@@ -5,7 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flexdog.cell import MODEL_IDEAL, MODEL_SIGMOID, CellParams, cell_response, program_kernel
+from flexdog.cell import (
+    MODEL_IDEAL,
+    MODEL_SIGMOID,
+    CellParams,
+    SigmoidProductParams,
+    cell_response,
+    program_kernel,
+)
 from flexdog.dog import GaussianKernel, IntensityImage, dog, make_gaussian_kernel
 from flexdog.errors import ConfigurationError, DimensionError, InvalidParameterError
 from flexdog.perf import runtime
@@ -506,6 +513,16 @@ class TestRunDogPipeline:
         a, _ = run_dog_pipeline(img, K1, K2, cfg_shared, seed=5)
         b, _ = run_dog_pipeline(img, K1, K2, cfg_split, seed=5)
         assert not np.array_equal(a.codes, b.codes)
+
+    @pytest.mark.parametrize("model", [MODEL_IDEAL, MODEL_SIGMOID])
+    def test_gamma_multiplier_whose_product_overflows_rejected(self, model):
+        # it gave nan cell weights, so int64-minimum codes and a nan MAE
+        cfg = AnalogConfig(cell_params=CellParams(gamma=1e300, model_kind=model,
+                                                  sigmoid=SigmoidProductParams(1e300)),
+                           variation=VariationModel(177.0, 0.0, 0.0, DIST_LOGNORMAL))
+        img = IntensityImage(np.random.default_rng(0).random((8, 8)))
+        with pytest.raises(InvalidParameterError, match="largest"):
+            run_dog_pipeline(img, K1, K2, cfg, seed=1)
 
     def test_settling_error_mode_attenuates(self):
         img = IntensityImage(np.ones((10, 10)))
