@@ -26,6 +26,9 @@ VALIDITY_WINDOW_V = 1.3
 
 PEAK_GAIN = 0.5
 
+FIT_STEPS = 100  # Gauss-Newton steps of fit_gaussian at most
+FIT_TOL = 1e-12  # a step of at most this fraction of each parameter ends the fit
+
 
 @dataclass(frozen=True)
 class SigmoidProductParams:
@@ -147,13 +150,59 @@ def program_kernel(kernel: GaussianKernel, params: CellParams) -> ProgrammedKern
 
 
 def fit_gaussian(dv: np.ndarray, i_out: np.ndarray) -> tuple[float, float]:
-    """Least-squares fit of a * exp(-b * dv^2) to measured samples."""
-    from scipy.optimize import curve_fit  # here: importing scipy outlasts a whole `run`
-    a0 = float(np.max(i_out))
-    popt, _ = curve_fit(
-        lambda x, a, b: a * np.exp(-b * x * x), dv, i_out, p0=[a0, 1.0], maxfev=20000
-    )
-    return float(popt[0]), float(popt[1])
+    """Least-squares fit of a * exp(-b * dv^2) to measured samples.
+
+    The fit starts from the log-linear fit over the positive samples, weighted
+    by the samples so that its log residuals approximate the linear ones.
+    Gauss-Newton steps refine it, each halved until it does not raise the sum
+    of squared residuals.  It stops once each step is at most FIT_TOL of its
+    parameter, or after FIT_STEPS steps.  It works on the samples scaled by a
+    power of two to a peak in [0.5, 1), on u = dv^2 less its smallest value x0
+    and on unit-norm Jacobian columns, so that tiny currents, off-centre
+    sweeps and steep curves stay well conditioned.  Raises
+    InvalidParameterError when fewer than two distinct |dv| have a positive
+    sample, or when the fit is not finite.
+    """
+    with np.errstate(over="ignore"):  # a |dV| above 1.3e154: rejected below
+        x = np.asarray(dv, dtype=np.float64) ** 2
+    check_range("largest swept dV^2", float(x.max()))
+    i_out = np.asarray(i_out, dtype=np.float64)
+    pos = i_out > 0
+    if np.unique(x[pos]).size < 2:
+        raise InvalidParameterError("a Gaussian fit needs positive responses at two or more "
+                                    "distinct |dV|")
+    exponent = math.frexp(float(i_out.max()))[1]
+    y = np.ldexp(i_out, -exponent)
+    x0 = float(x.min())
+    u = x - x0
+    w = y[pos]
+    c = np.linalg.lstsq(np.column_stack([w, w * u[pos]]), w * np.log(w), rcond=None)[0]
+
+    def residuals(p):  # p: the scaled curve's value at x0, and b
+        g = np.exp(-p[1] * u)
+        r = y - p[0] * g
+        return r @ r, r, np.column_stack([g, -p[0] * u * g])
+
+    # a step may overshoot to inf or nan: its sum of squares rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.array([np.exp(c[0]), -c[1]])
+        ssr, r, jac = residuals(p)
+        check_range("sum of squared residuals of the log-linear fit", float(ssr))
+        for _ in range(FIT_STEPS):
+            norms = np.linalg.norm(jac, axis=0)
+            norms[norms == 0] = 1.0
+            step = np.linalg.lstsq(jac / norms, r, rcond=None)[0] / norms
+            step = np.nan_to_num(step)  # an infinite step halves from the largest float
+            while not (trial := residuals(p + step))[0] <= ssr:  # nan compares false
+                step /= 2
+            p = p + step
+            ssr, r, jac = trial
+            if np.all(np.abs(step) <= FIT_TOL * np.abs(p)):
+                break
+        peak = float(np.ldexp(p[0] * np.exp(p[1] * x0), exponent))
+    check_range("fitted Gaussian peak", peak)
+    check_range("fitted Gaussian curvature", float(p[1]))
+    return peak, float(p[1])
 
 
 def sweep_deviation(
@@ -190,6 +239,8 @@ def sweep_curves(params, lo, hi, n_points, reference="fitted-gaussian"):
     """Raw (dv, response, reference) arrays behind sweep_deviation."""
     if not lo < hi:
         raise InvalidParameterError(f"degenerate sweep range [{lo}, {hi}]")
+    # Python floats: an overflowing square is inf, with no numpy warning
+    check_range("square of the widest sweep bound", max(lo * lo, hi * hi))
     check_range("sweep points", n_points, at_least=3)
     if reference not in ("fitted-gaussian", "eq4-gaussian"):
         raise InvalidParameterError(f"unknown deviation reference {reference!r}")

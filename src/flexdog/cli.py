@@ -30,7 +30,7 @@ from .cell import (
     sweep_curves,
 )
 from .dog import DEFAULT_SIGMA1, DEFAULT_SIGMA_RATIO, IntensityImage, make_gaussian_kernel
-from .errors import ConfigurationError, FormatError, check_range
+from .errors import ConfigurationError, DimensionError, FormatError, check_range
 from .imageio import (
     PATTERN_NAMES,
     binarize,
@@ -218,9 +218,14 @@ def build_perf_spec(s: dict, adc: AdcSpec = AdcSpec()) -> PerfSpec:
                            pixel_count_mode=s["pixel_mode"], adc_separate=s["adc_separate"])
 
 
-def build_kernels(s: dict):
-    k1 = make_gaussian_kernel(s["sigma1"], s["half_width"], normalize=True)
-    k2 = make_gaussian_kernel(s["sigma1"] * s["sigma_ratio"], s["half_width"], normalize=True)
+def build_kernels(s: dict, image: IntensityImage):
+    """The two normalised kernels, once their (2P+1)^2 grid is known to fit the image."""
+    p = s["half_width"]
+    if 2 * p + 1 > min(image.height, image.width):
+        raise DimensionError(f"kernel (P={p}) does not fit inside a "
+                             f"{image.height}x{image.width} image")
+    k1 = make_gaussian_kernel(s["sigma1"], p, normalize=True)
+    k2 = make_gaussian_kernel(s["sigma1"] * s["sigma_ratio"], p, normalize=True)
     return k1, k2
 
 
@@ -263,7 +268,7 @@ def write_json(path: Path, s: dict, **sections) -> None:
 def cmd_run(args) -> int:
     s = resolve_settings(args)
     image = load_input(s)
-    k1, k2 = build_kernels(s)
+    k1, k2 = build_kernels(s, image)
     cfg = build_analog_config(s)
     codes, report = run_dog_pipeline(image, k1, k2, cfg, seed=s["seed"],
                                      perf_spec=build_perf_spec(s, cfg.adc))
@@ -303,7 +308,7 @@ def cmd_montecarlo(args) -> int:
     sweep_key = f"variation_{args.sweep_param}"
     levels = parse_levels(args.levels) if args.levels else [s[sweep_key]]
     image = load_input(s)
-    k1, k2 = build_kernels(s)
+    k1, k2 = build_kernels(s, image)
     build_perf_spec(s)  # validates the accounting settings; the sweep reports no perf figures
 
     out = output_dir(s)

@@ -430,13 +430,17 @@ def monte_carlo(
         for k, t in enumerate(trials):
             maes[t] = err[k].mean()  # one contiguous trial: the per-frame summation order
         flips[trials.start:trials.stop] = (edge_map(codes) != nominal_edges).mean(axis=(1, 2))
+    # the MAEs scaled by a power of two to a peak below 1 give the same bits,
+    # but their sum and squares stay finite when the MAEs near the largest float
+    exponent = math.frexp(float(maes.max()))[1]
+    scaled = np.ldexp(maes, -exponent)
     return MonteCarloSummary(
         n_trials=n_trials,
         base_seed=base_seed,
         per_trial_mae=maes,
         per_trial_flip_rate=flips,
-        mean_mae=float(maes.mean()),
-        std_mae=float(maes.std(ddof=1)) if n_trials > 1 else 0.0,
+        mean_mae=float(np.ldexp(scaled.mean(), exponent)),
+        std_mae=float(np.ldexp(scaled.std(ddof=1), exponent)) if n_trials > 1 else 0.0,
         max_mae=float(maes.max()),
         mean_flip_rate=float(flips.mean()),
     )

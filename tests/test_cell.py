@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flexdog.cell import (
     MODEL_IDEAL,
@@ -19,10 +20,13 @@ from flexdog.cell import (
 )
 from flexdog.dog import GaussianKernel, make_gaussian_kernel
 from flexdog.errors import (
+    ConfigurationError,
     InvalidGainError,
     InvalidParameterError,
     UnachievableGainError,
 )
+
+from test_pipeline_properties import positive
 
 IDEAL = CellParams()
 SIGMOID = CellParams(model_kind=MODEL_SIGMOID)
@@ -183,6 +187,79 @@ class TestFitGaussian:
         a, b = fit_gaussian(dv, i_out)
         assert a == pytest.approx(params.i_in_nominal / 2, rel=1e-6)
         assert b == pytest.approx(params.gamma, rel=1e-6)
+
+    @pytest.mark.parametrize("lo,hi,n", [(5.0, 6.0, 261), (1.0, 1.3, 261), (-0.9, 0.9, 3)])
+    def test_recovers_ideal_cell_off_centre_and_from_three_points(self, lo, hi, n):
+        dv = np.linspace(lo, hi, n)
+        a, b = fit_gaussian(dv, np.asarray(cell_response(IDEAL.i_in_nominal, dv, IDEAL)))
+        assert a == pytest.approx(IDEAL.i_in_nominal / 2, rel=1e-9)
+        assert b == pytest.approx(IDEAL.gamma, rel=1e-9)
+
+    def test_fit_is_a_least_squares_minimum(self):
+        dv = np.linspace(-1.3, 1.3, 261)
+        i_out = np.asarray(cell_response(SIGMOID.i_in_nominal, dv, SIGMOID))
+        a, b = fit_gaussian(dv, i_out)
+        best = sum_of_squares(dv, i_out, a, b)
+        assert all(sum_of_squares(dv, i_out, *ab) > best for ab in perturbed(a, b))
+
+    @pytest.mark.parametrize("i_out", [np.zeros(11), np.eye(1, 11, 5)[0] * 1e-7],
+                             ids=["all-zero", "one-positive"])
+    def test_fewer_than_two_positive_samples_rejected(self, i_out):
+        with pytest.raises(InvalidParameterError, match="two or more distinct"):
+            fit_gaussian(np.linspace(-1.0, 1.0, 11), i_out)
+
+    def test_positive_samples_at_one_distance_rejected(self):
+        with pytest.raises(InvalidParameterError, match="two or more distinct"):
+            fit_gaussian(np.array([-1.0, 0.0, 1.0]), np.array([1e-8, 0.0, 1e-8]))
+
+    def test_gamma_that_leaves_one_positive_response_rejected(self):
+        # exp(-1e300 * dV^2) is 0 everywhere but at dV = 0
+        with pytest.raises(InvalidParameterError, match="two or more distinct"):
+            sweep_deviation(CellParams(gamma=1e300))
+
+    def test_infinite_dv_squared_rejected(self):
+        with pytest.raises(InvalidParameterError, match="dV"):
+            fit_gaussian(np.array([0.0, 1.0, 1e200]), np.array([1e-8, 1e-9, 0.0]))
+
+
+def sum_of_squares(dv, i_out, a, b):
+    return float(np.sum((i_out - a * np.exp(-b * dv * dv)) ** 2))
+
+
+def perturbed(a, b):
+    """(a, b) with either one scaled by 1 - 1e-6 or 1 + 1e-6."""
+    return [(a * f, b) for f in (1 - 1e-6, 1 + 1e-6)] + [(a, b * f) for f in (1 - 1e-6, 1 + 1e-6)]
+
+
+@st.composite
+def deviation_case(draw):
+    model = draw(st.sampled_from([MODEL_IDEAL, MODEL_SIGMOID]))
+    cell = (positive(draw, 0, -300, 300), positive(draw, 1, -300, 300), positive(draw, -1, -4, 2))
+    bound = st.floats(-2.0, 2.0) if draw(st.booleans()) else st.floats(-30.0, 30.0)
+    lo, hi = sorted((draw(bound), draw(bound)))
+    return model, cell, lo, hi, draw(st.integers(3, 301))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(deviation_case())
+def test_fitted_deviation_raises_a_configuration_error_or_is_a_finite_minimum(case):
+    model, (gamma, steepness, half_separation), lo, hi, n = case
+    try:
+        params = CellParams(gamma=gamma, model_kind=model,
+                            sigmoid=SigmoidProductParams(steepness, half_separation))
+        report = sweep_deviation(params, lo, hi, n, "fitted-gaussian")
+    except ConfigurationError:
+        return
+    assert math.isfinite(report.avg_abs_deviation) and math.isfinite(report.max_abs_deviation)
+    assert report.avg_abs_deviation <= report.max_abs_deviation
+    dv = np.linspace(lo, hi, n)
+    i_out = np.asarray(cell_response(params.i_in_nominal, dv, params))
+    a, b = fit_gaussian(dv, i_out)
+    best = sum_of_squares(dv, i_out, a, b)
+    # beyond 1e-12 of itself, allow the rounding of the sum: each residual is
+    # off by about eps * i, so the sum by at most 2 eps sqrt(best * sum(i^2))
+    slack = 1e-12 * best + 4 * np.finfo(float).eps * math.sqrt(best * np.sum(i_out ** 2))
+    assert all(sum_of_squares(dv, i_out, *ab) >= best - slack for ab in perturbed(a, b))
 
 
 class TestSweepDeviation:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import struct
@@ -26,6 +27,16 @@ def run_cli(*argv):
 def load_report(out_dir, name="report.json"):
     with open(out_dir / name) as f:
         return json.load(f)
+
+
+def assert_kernel_not_built(command, tmp_path, monkeypatch):
+    """A 29x29 kernel on a 28x28 pattern exits 2 before any kernel grid is
+    made, as a --half-width of 20000 must: its grid would take 12 GiB."""
+    calls = []
+    monkeypatch.setattr(cli, "make_gaussian_kernel", lambda *a, **k: calls.append(a))
+    assert run_cli(command, "--input", "pattern:step", "--half-width", "14",
+                   "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
+    assert calls == []
 
 
 class TestRun:
@@ -137,6 +148,10 @@ class TestRun:
         assert run_cli("run", "--input", "pattern:step", option, *value.split(),
                        "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
 
+    def test_kernel_wider_than_the_image_is_config_error_before_it_is_built(
+            self, tmp_path, monkeypatch):
+        assert_kernel_not_built("run", tmp_path, monkeypatch)
+
     def test_steep_sigmoid_runs_without_overflow_warning(self, tmp_path):
         # tier-1 turns warnings into errors, so an overflow warning in exp would exit 3
         assert run_cli("run", "--input", "pattern:checkerboard", "--model", "sigmoid-product",
@@ -213,6 +228,10 @@ class TestMonteCarlo:
                        "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
         assert "--levels" in capsys.readouterr().err
 
+    def test_kernel_wider_than_the_image_is_config_error_before_it_is_built(
+            self, tmp_path, monkeypatch):
+        assert_kernel_not_built("montecarlo", tmp_path, monkeypatch)
+
     def test_lognormal_level_that_overflows_is_config_error(self, tmp_path):
         assert run_cli("montecarlo", "--input", "pattern:step", "--levels", "1e300",
                        "--distribution", "lognormal", "--sweep-param", "gain",
@@ -271,6 +290,30 @@ class TestDeviation:
         assert run_cli("deviation", "--model", "sigmoid-product",
                        "--out-dir", str(tmp_path / "out")) == EXIT_OK
         assert len(calls) == 1
+
+    def test_off_centre_sweep_fits_the_ideal_cell(self, tmp_path):
+        # tier-1 turns warnings into errors, so an overflow warning in the fit would exit 3
+        out = tmp_path / "out"
+        assert run_cli("deviation", "--sweep-lo", "5", "--sweep-hi", "6",
+                       "--out-dir", str(out)) == EXIT_OK
+        doc = load_report(out, "deviation.json")
+        # the largest response, at 5 V, is 5e-8 * exp(-25) = 7e-19 A
+        assert doc["deviation"]["max_abs_deviation_a"] <= 1e-30
+
+    @pytest.mark.parametrize("args", [
+        "--gamma 1e300",  # only the dV = 0 response is positive
+        "--model sigmoid-product --steepness 1000 --sweep-lo 50 --sweep-hi 60",  # all are 0
+    ])
+    def test_fewer_than_two_positive_responses_is_config_error(self, tmp_path, capsys, args):
+        assert run_cli("deviation", *args.split(), "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
+        assert "two or more distinct |dV|" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reference", ["fitted-gaussian", "eq4-gaussian"])
+    def test_sweep_bound_whose_square_overflows_is_config_error(self, tmp_path, capsys,
+                                                                reference):
+        assert run_cli("deviation", "--sweep-hi", "1e200", "--reference", reference,
+                       "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
+        assert "square of the widest sweep bound" in capsys.readouterr().err
 
     def test_csv_rows(self, tmp_path):
         out = tmp_path / "out"
@@ -339,9 +382,23 @@ def run_python(code):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # only `flexdog deviation` fits a curve, so no other command pays scipy's import
-    run_python("import flexdog.cli, sys; assert 'scipy' not in sys.modules")
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # flexdog depends on numpy alone, the curve fit of `flexdog deviation` included
+    run_python("import sys; from flexdog.cli import main; "
+               "assert main(['deviation', '--model', 'sigmoid-product', "
+               f"'--out-dir', {str(tmp_path)!r}]) == 0; "
+               "assert 'scipy' not in sys.modules")
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    names = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "flexdog").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.partition(".")[0])
+    assert names - sys.stdlib_module_names == {"numpy"}
 
 
 def test_default_run_leaves_numpy_random_unloaded(tmp_path):

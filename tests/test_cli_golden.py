@@ -61,7 +61,7 @@ GOLDEN = {
     "run-dot-sigmoid": "7058a8cb197e615724321bdec048f5ca9449738a324de73be414436d29840de8",
     "run-dot-grayscale": "9ff3a5b661006e3b7eebe36eebf0eb8c3fdc5f87d567c26c21f89e1666e72397",
     "montecarlo": "771dd30a3e42cb983b2eea40c0704c3e0959eb226da9337bb6ecbfc8610afa50",
-    "deviation": "31f18123002bcc7406bc7a50b4be1021fb53f54e1077b47ba7a790514b3835fa",
+    "deviation": "aaa2ec59548a10b3d950dd94cc80a5ed156299da2406992765448f416bc457d9",
     "perf-paper": "b8e67891a788cd6f35b44025fd73f94e50640c01d6364070bbf50a2c185c37a1",
     "perf-accounting": "fd1ce82aad6a95a98f7ee9514e14aff83af856178d7490f2ba8ec944e865d5eb",
 }

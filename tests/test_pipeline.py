@@ -627,6 +627,26 @@ class TestMonteCarlo:
         with pytest.raises(InvalidParameterError):
             monte_carlo(self.binary_image(), K1, K2, AnalogConfig(), n_trials=0, base_seed=0)
 
+    def test_summary_of_ordinary_maes_equals_numpy(self):
+        cfg = AnalogConfig(variation=VariationModel(0.05, 0.05, 0.05))
+        summary = monte_carlo(self.binary_image(), K1, K2, cfg, n_trials=7, base_seed=3)
+        assert summary.mean_mae == float(summary.per_trial_mae.mean())
+        assert summary.std_mae == float(summary.per_trial_mae.std(ddof=1))
+
+    def test_spread_of_maes_near_the_largest_float_is_finite(self):
+        # the MAEs are near 1e160 codes: their squared deviations overflowed
+        image = IntensityImage(np.random.default_rng(0).random((3, 3)))
+        k1 = make_gaussian_kernel(1.0, 1)
+        cfg = AnalogConfig(cell_params=CellParams(i_in_nominal=1e-4),
+                           variation=VariationModel(sensor_rel_sigma=0.25),
+                           adc=AdcSpec(bits=1, vref=1.0), transimpedance=1e161,
+                           settle_time=1e-3, adc_bypass=True, shared_array=False)
+        summary = monte_carlo(image, k1, make_gaussian_kernel(2.0, 1), cfg, n_trials=2,
+                              base_seed=0)
+        maes = summary.per_trial_mae
+        assert maes.min() > 1e154
+        assert summary.std_mae == pytest.approx(abs(maes[0] - maes[1]) / math.sqrt(2), rel=1e-12)
+
     def test_edge_map_threshold(self):
         codes = np.array([[0, 1, -2], [3, -1, 2]])
         assert np.array_equal(

@@ -1,10 +1,12 @@
-"""Property test of the analog pipeline's contract over random settings.
+"""Property tests of the analog pipeline's contract over random settings.
 
 Building an ``AnalogConfig`` from drawn settings and running
 ``run_dog_pipeline`` either raises a ``ConfigurationError`` subclass, or
 returns finite codes, oracle and error metrics; in ADC mode the codes also
-lie within the ADC's levels.  The settings span every option of the chain,
-each from ordinary values out to values whose products overflow.
+lie within the ADC's levels.  Running ``monte_carlo`` on them either raises
+a ``ConfigurationError`` subclass, or returns finite per-trial errors and
+flip rates in [0, 1].  The settings span every option of the chain, each
+from ordinary values out to values whose products overflow.
 """
 
 import math
@@ -21,6 +23,7 @@ from flexdog.pipeline import (
     AdcSpec,
     AnalogConfig,
     VariationModel,
+    monte_carlo,
     run_dog_pipeline,
 )
 
@@ -108,3 +111,20 @@ def test_run_raises_a_configuration_error_or_returns_finite_codes(case):
     if not cfg.adc_bypass:
         assert frame.codes.dtype == np.int64
         assert np.all(np.abs(frame.codes) <= cfg.adc.levels)
+
+
+@settings(PIPELINE_SETTINGS, max_examples=90)
+@given(pipeline_case(), st.integers(2, 3))
+def test_monte_carlo_raises_a_configuration_error_or_returns_finite_rates(case, n_trials):
+    pixels, kernels, s, seed = case
+    try:
+        k1, k2, cfg = build(kernels, s)
+        summary = monte_carlo(IntensityImage(pixels), k1, k2, cfg, n_trials, seed)
+    except ConfigurationError:
+        return
+    for values in (summary.per_trial_mae, summary.per_trial_flip_rate):
+        assert values.shape == (n_trials,)
+        assert np.all(np.isfinite(values))
+    assert np.all((summary.per_trial_flip_rate >= 0) & (summary.per_trial_flip_rate <= 1))
+    assert all(math.isfinite(v) for v in (summary.mean_mae, summary.std_mae, summary.max_mae,
+                                          summary.mean_flip_rate))
