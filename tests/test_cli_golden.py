@@ -1,43 +1,15 @@
-"""Golden corpus for the `flexdog` command line.
-
-Each case runs ``flexdog.cli.main`` and pins one SHA-256 digest over its exit
-code, its stdout (with the output directory replaced by ``<out>``) and every
-artifact it writes.  JSON artifacts are hashed without the fields that differ
-between identical runs: ``timestamp``, ``artifacts`` and ``config.out_dir``.
-The option strings of every subcommand are pinned as well.  A change that
-moves any of these changes what the CLI does, and has to say so.
+"""Golden corpus for the `flexdog` command line: one pinned digest per case of
+the ``cli`` corpus, which ``golden_cases`` builds and describes.  The option
+strings of every subcommand are pinned as well.  A change that moves any of
+these changes what the CLI does, and has to say so.
 """
 
 import argparse
-import hashlib
-import json
 
 import pytest
 
-from flexdog.cli import build_parser, main
-
-PATTERNS = ("constant", "step", "checkerboard", "dot")
-RUN_VARIANTS = {
-    "defaults": (),
-    "variation": ("--variation-gamma", "0.05", "--variation-gain", "0.05",
-                  "--variation-sensor", "0.05", "--seed", "7"),
-    "bypass": ("--adc-bypass",),
-    "sigmoid": ("--model", "sigmoid-product", "--half-width", "2"),
-    "grayscale": ("--no-binarize", "--bits", "4"),
-}
-CASES = {
-    f"run-{pattern}-{variant}": ("run", "--input", f"pattern:{pattern}", *args)
-    for pattern in PATTERNS
-    for variant, args in RUN_VARIANTS.items()
-}
-CASES.update({
-    "montecarlo": ("montecarlo", "--input", "pattern:checkerboard", "--trials", "4",
-                   "--levels", "0.0,0.05", "--sweep-param", "gain", "--seed", "3"),
-    "deviation": ("deviation", "--model", "sigmoid-product", "--points", "41"),
-    "perf-paper": ("perf", "28", "28"),
-    "perf-accounting": ("perf", "640", "480", "--half-width", "2", "--parallelism", "4",
-                        "--pixel-mode", "valid-only", "--adc-separate", "--supply", "5"),
-})
+from flexdog.cli import build_parser
+from golden_cases import cases, digest, outputs
 
 GOLDEN = {
     "run-constant-defaults": "c85b489b87bf9924c14c5c9021fb630d01d52c3bb657291ea0724fd643f870fa",
@@ -82,33 +54,9 @@ OPTIONS = {
 }
 
 
-def _artifact_bytes(path):
-    data = path.read_bytes()
-    if path.suffix != ".json":
-        return data
-    doc = json.loads(data)
-    doc.pop("timestamp")
-    doc.pop("artifacts", None)
-    doc["config"].pop("out_dir")
-    return json.dumps(doc, sort_keys=True).encode()
-
-
-def case_digest(argv, out, capsys):
-    """SHA-256 over exit code, normalised stdout and every artifact in ``out``."""
-    code = main([*argv, "--out-dir", str(out)])
-    stdout = capsys.readouterr().out.replace(str(out), "<out>")
-    h = hashlib.sha256()
-    h.update(f"exit {code}\n".encode())
-    h.update(stdout.encode())
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        h.update(f"\n{path.relative_to(out)}\n".encode())
-        h.update(_artifact_bytes(path))
-    return h.hexdigest()
-
-
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_case_matches_golden(case, tmp_path, capsys):
-    assert case_digest(CASES[case], tmp_path / "out", capsys) == GOLDEN[case]
+@pytest.mark.parametrize("case", cases("cli"))
+def test_cli_case_matches_golden(case):
+    assert digest(outputs("cli", case)) == GOLDEN[case]
 
 
 def test_option_strings_are_pinned():

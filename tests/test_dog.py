@@ -15,6 +15,7 @@ from flexdog.dog import (
     op_count,
 )
 from flexdog.errors import ConfigurationError, DimensionError, InvalidParameterError
+from golden_cases import kernels
 
 
 def brute_force_dog(pixels, sigma1, sigma2, p):
@@ -153,12 +154,9 @@ class TestDog:
         pixels = np.zeros((12, 12))
         pixels[:, 6:] = 1.0
         img = IntensityImage(pixels)
-        sigma1 = 0.85
-        sigma2 = sigma1 * math.sqrt(2)
-        k1 = make_gaussian_kernel(sigma1, 1, normalize=True)
-        k2 = make_gaussian_kernel(sigma2, 1, normalize=True)
+        k1, k2 = kernels()
         d = dog(img, k1, k2)
-        expected = brute_force_dog(pixels, sigma1, sigma2, 1)
+        expected = brute_force_dog(pixels, k1.sigma, k2.sigma, 1)
         assert np.allclose(d.values, expected, atol=1e-12)
         # dark side of the edge dips negative, bright side overshoots positive
         assert np.all(d.values[:, 4] < 0)
@@ -169,8 +167,7 @@ class TestDog:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_one_correlation_equals_difference_of_two_convolutions(self, p):
         # linearity: correlate(x, w1 - w2) = M(sigma1) - M(sigma2), up to rounding
-        k1 = make_gaussian_kernel(0.85, p, normalize=True)
-        k2 = make_gaussian_kernel(0.85 * math.sqrt(2), p, normalize=True)
+        k1, k2 = kernels(p)
         for seed in range(5):
             img = IntensityImage(np.random.default_rng([p, seed]).random((30, 41)))
             m1 = convolve_valid(img, k1).values
@@ -214,8 +211,9 @@ class TestDog:
 
 def instrumented_convolve(pixels, weights):
     """Naive convolution that literally counts multiply and add events."""
-    kh, kw = weights.shape
-    oh, ow = pixels.shape[0] - kh + 1, pixels.shape[1] - kw + 1
+    pixels, weights = np.asarray(pixels).tolist(), np.asarray(weights).tolist()
+    kh, kw = len(weights), len(weights[0])
+    oh, ow = len(pixels) - kh + 1, len(pixels[0]) - kw + 1
     out = np.zeros((oh, ow))
     mults = adds = 0
     for y in range(oh):
@@ -224,7 +222,7 @@ def instrumented_convolve(pixels, weights):
             first = True
             for i in range(kh):
                 for j in range(kw):
-                    prod = weights[i, j] * pixels[y + i, x + j]
+                    prod = weights[i][j] * pixels[y + i][x + j]
                     mults += 1
                     if first:
                         acc = prod

@@ -1,4 +1,3 @@
-import itertools
 import math
 from dataclasses import replace
 
@@ -37,10 +36,10 @@ from flexdog.pipeline import (
     sense,
     to_voltage,
 )
+from golden_cases import CONFIGS, config, kernels
 from test_cli import run_python
 
-K1 = make_gaussian_kernel(0.85, 1, normalize=True)
-K2 = make_gaussian_kernel(0.85 * np.sqrt(2), 1, normalize=True)
+K1, K2 = kernels()
 
 
 def no_variation_sample(image_shape, kernel_shape=(3, 3)):
@@ -584,18 +583,11 @@ class TestMonteCarlo:
             flips.append(float(np.mean(edge_map(codes.codes) != oracle_edges)))
         return np.array(maes), np.array(flips)
 
-    @pytest.mark.parametrize(
-        "model,shared,bypass,distribution,settling,p",
-        list(itertools.product([MODEL_IDEAL, MODEL_SIGMOID], [True, False], [False, True],
-                               [DIST_TRUNCNORM, DIST_LOGNORMAL], [False, True], [1, 2])),
-    )
-    def test_batched_trials_equal_per_seed_pipeline(self, model, shared, bypass, distribution,
-                                                    settling, p):
-        k1 = make_gaussian_kernel(0.85, p, normalize=True)
-        k2 = make_gaussian_kernel(0.85 * np.sqrt(2), p, normalize=True)
-        cfg = AnalogConfig(cell_params=CellParams(model_kind=model),
-                           variation=VariationModel(0.05, 0.05, 0.05, distribution),
-                           shared_array=shared, adc_bypass=bypass, settling_error=settling)
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_batched_trials_equal_per_seed_pipeline(self, name):
+        *settings, p = CONFIGS[name]
+        k1, k2 = kernels(p)
+        cfg = config(*settings)
         img = self.binary_image(size=12)
         summary = monte_carlo(img, k1, k2, cfg, n_trials=4, base_seed=31)
         maes, flips = self.per_seed_loop(img, k1, k2, cfg, 4, 31)

@@ -1,122 +1,46 @@
-"""Strip-boundary corpus for the analog pipeline and ``correlate_valid``.
+"""Strip-boundary corpora for the analog pipeline, and ``correlate_valid``.
 
-The golden corpora run 28x28 patterns, each of which fits in one row strip,
-so they never cross a strip boundary.  The frames here span several strips
-and end in a ragged one: 257x1031 (rows narrower than a strip, many strips)
-and 1031x61 (tall, narrow rows, few strips).  Each case pins one SHA-256
-digest, hashed as in ``test_pipeline_golden.case_digest``, over a
-``run_dog_pipeline`` pass.  Every digest here packs the oracle, so each was
-regenerated when the oracle became one correlation with the difference grid
-w1 - w2; the code frames inside did not move: the ADC-mode ones are those of
-the full-frame implementation that preceded the strip scan, the bypass ones
-those of the first to apply one effective weight per cell.  ``correlate_valid`` is checked
-against direct per-output references on shapes that put one row, or part of
-one strip, or leading trial axes through the strip loop.
+One pinned digest per case of the ``strips`` and ``strips-mc`` corpora, which
+``golden_cases`` builds and describes.  The digests were last regenerated when
+the oracle became one correlation with w1 - w2; the code frames inside are
+still those of the full-frame implementation that preceded the strip scan (ADC
+mode) and of the first to apply one effective weight per cell (bypass).
+``correlate_valid`` is checked against direct per-output references on shapes
+that put one row, or part of one strip, or leading trial axes through the
+strip loop.
 """
-
-import hashlib
-import itertools
-import json
 
 import numpy as np
 import pytest
 
-from flexdog.cell import MODEL_IDEAL, MODEL_SIGMOID, CellParams
-from flexdog.dog import (
-    DEFAULT_SIGMA1,
-    DEFAULT_SIGMA_RATIO,
-    IntensityImage,
-    correlate_valid,
-    make_gaussian_kernel,
-)
+from flexdog.dog import correlate_valid
 from flexdog.imageio import make_pattern
-from flexdog.pipeline import (
-    MC_BATCH_PIXELS,
-    AnalogConfig,
-    VariationModel,
-    monte_carlo,
-    run_dog_pipeline,
-)
-
-MODELS = {"ideal": MODEL_IDEAL, "sigmoid": MODEL_SIGMOID}
-SHAPES = {"257x1031": (257, 1031), "1031x61": (1031, 61)}
-SIGMA = 0.05
-SEED = 11
-MC_TRIALS = 3
-MC_SEED = 400
-
-CASES = {
-    f"{shape}-{model}-{'shared' if shared else 'split'}-{'bypass' if bypass else 'adc'}-P{p}": (
-        shape, model, shared, bypass, p)
-    for shape, model, shared, bypass, p in itertools.product(
-        SHAPES, MODELS, (True, False), (False, True), (1, 2))
-}
+from flexdog.pipeline import MC_BATCH_PIXELS
+from golden_cases import CORPORA, cases, digest, outputs
 
 
-def _update_array(h, name, a):
-    a = np.ascontiguousarray(a)
-    h.update(f"\n{name} {a.dtype} {a.shape}\n".encode())
-    h.update(a.tobytes())
-
-
-def seeded_image(h, w):
-    """About 3/8 of the pixels at full intensity, so the ADC saturates on
-    bright patches; the rest uniform in [0, 1)."""
-    rng = np.random.default_rng([h, w])
-    return IntensityImage(np.minimum(rng.random((h, w)) * 1.6, 1.0))
-
-
-def kernels(p):
-    return (make_gaussian_kernel(DEFAULT_SIGMA1, p, normalize=True),
-            make_gaussian_kernel(DEFAULT_SIGMA1 * DEFAULT_SIGMA_RATIO, p, normalize=True))
-
-
-def config(model, shared, bypass, **extra):
-    return AnalogConfig(cell_params=CellParams(model_kind=MODELS[model]),
-                        variation=VariationModel(SIGMA, SIGMA, SIGMA),
-                        shared_array=shared, adc_bypass=bypass, **extra)
-
-
-def case_digest(shape, model, shared, bypass, p):
-    frame, report = run_dog_pipeline(seeded_image(*SHAPES[shape]), *kernels(p),
-                                     config(model, shared, bypass), seed=SEED)
-    h = hashlib.sha256()
-    _update_array(h, "codes", frame.codes)
-    _update_array(h, "oracle", frame.oracle)
-    h.update(json.dumps(report.to_dict(), sort_keys=True).encode())
-    return h.hexdigest()
-
-
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case", cases("strips"))
 def test_pipeline_case_matches_golden(case):
-    assert case_digest(*CASES[case]) == GOLDEN[case]
+    assert digest(outputs("strips", case)) == GOLDEN[case]
 
 
 def test_monte_carlo_across_strips_matches_golden():
-    cfg = config("ideal", False, False, settling_error=True)
-    summary = monte_carlo(seeded_image(257, 1031), *kernels(1), cfg,
-                          n_trials=MC_TRIALS, base_seed=MC_SEED)
-    h = hashlib.sha256()
-    _update_array(h, "mc_mae", summary.per_trial_mae)
-    _update_array(h, "mc_flip", summary.per_trial_flip_rate)
-    assert h.hexdigest() == GOLDEN_MC
+    [case] = cases("strips-mc")
+    assert digest(outputs("strips-mc", case)) == GOLDEN_MC
 
 
 def test_adc_cases_saturate():
     # the saturation count is summed over strips; pin that it is exercised
-    _, report = run_dog_pipeline(seeded_image(257, 1031), *kernels(1),
-                                 config("ideal", True, False), seed=SEED)
-    assert report.saturation_count > 0
+    assert outputs("strips", "257x1031-ideal-shared-adc-P1")["report"]["saturation_count"] > 0
 
 
 def test_corpora_pin_both_sides_of_the_batch_gate():
     # monte_carlo batches several trials of a frame smaller than MC_BATCH_PIXELS and
-    # runs a larger one trial at a time; whatever the constant, the two corpora's
+    # runs a larger one trial at a time; whatever the constant, the corpora's
     # sweeps must pin both paths
-    from test_pipeline_golden import CASES as GOLDEN_CASES
-
-    pixels = {make_pattern(case[0]).pixels.size for case in GOLDEN_CASES.values()}
-    assert max(pixels) < MC_BATCH_PIXELS <= 257 * 1031
+    small = {make_pattern(args[0]).pixels.size for args in CORPORA["pipeline"][1].values()}
+    large = {np.prod(args[0]) for args in CORPORA["strips-mc"][1].values()}
+    assert max(small) < MC_BATCH_PIXELS <= min(large)
 
 
 def _windows(pixels, weights):
