@@ -259,7 +259,11 @@ def fit_gamma_from_file(path) -> float:
     """Calibrate gamma from a measured (dv volts, i_out amperes) sweep file.
 
     Two whitespace-separated columns, one sample per line, '#' comments
-    allowed.  Log-domain linear least squares: ln I = ln(I_in/2) - gamma dv^2.
+    allowed.  Log-domain linear least squares: ln I = ln(I_in/2) - gamma dv^2,
+    on dv^2 scaled by a power of two, which leaves the fit's bits as they are
+    but keeps its column norms finite and nonzero.  Raises
+    InvalidParameterError when dv^2 overflows or is 0 everywhere, or when the
+    fit is rank-deficient, as it is when every sample has the same |dv|.
     """
     try:
         data = np.loadtxt(path, dtype=np.float64)
@@ -272,8 +276,15 @@ def fit_gamma_from_file(path) -> float:
     dv, i_out = data[:, 0], data[:, 1]
     if np.any(i_out <= 0):
         raise InvalidParameterError(f"{path}: calibration currents must be positive")
-    slope = np.polyfit(dv * dv, np.log(i_out), 1)[0]
-    gamma = -float(slope)
+    with np.errstate(over="ignore"):  # a |dv| above 1.3e154: rejected below
+        x = dv * dv
+    check_range(f"{path}: largest calibration dv^2", float(x.max()), above=0)
+    exponent = math.frexp(float(x.max()))[1]
+    (slope, _), _, rank, _, _ = np.polyfit(np.ldexp(x, -exponent), np.log(i_out), 1, full=True)
+    if rank < 2:
+        raise InvalidParameterError(f"{path}: calibration data needs two or more distinct |dV|")
+    with np.errstate(over="ignore"):  # an infinite gamma: CellParams rejects it
+        gamma = -float(np.ldexp(slope, -exponent))
     if gamma <= 0:
         raise InvalidParameterError(f"{path}: calibration data does not decay with |dv|")
     return gamma

@@ -312,13 +312,23 @@ class TestCalibration:
         with pytest.raises(InvalidParameterError):
             fit_gamma_from_file(path)
 
-    @pytest.mark.parametrize("text", ["0.0 1e-7\n0.5 abc\n", "0.0 1e-7\n0.5 nan\n",
-                                      "0.0 1e-7\ninf 5e-8\n"])
+    @pytest.mark.parametrize("text", [
+        "0.0 1e-7\n0.5 abc\n", "0.0 1e-7\n0.5 nan\n", "0.0 1e-7\ninf 5e-8\n",
+        "0.5 1e-8\n-0.5 2e-8\n0.5 3e-8\n",  # one |dV|: a rank-deficient fit made up gamma 35.6
+        "1e-200 1e-8\n0 2e-8\n",  # each dV^2 is 0
+        "1e200 1e-8\n0 2e-8\n",  # dV^2 overflows: polyfit's least squares did not converge
+    ])
     def test_non_numeric_or_non_finite_file_rejected(self, tmp_path, text):
         path = tmp_path / "sweep.txt"
         path.write_text(text)
         with pytest.raises(InvalidParameterError, match="sweep.txt"):
             fit_gamma_from_file(path)
+
+    def test_dv_squared_near_the_smallest_float_gives_an_infinite_gamma(self, tmp_path):
+        # polyfit's column norm of dV^2 = 1e-320 underflowed to 0 and divided by it
+        path = tmp_path / "sweep.txt"
+        path.write_text("0 1e-8\n1e-160 1e-300\n")
+        assert fit_gamma_from_file(path) == math.inf
 
 
 class TestParams:

@@ -163,7 +163,8 @@ class TestRun:
         assert run_cli("run", "--input", str(path), "--out-dir", str(tmp_path / "out")) == EXIT_IO
         assert "exceeds maxval" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["0.0 1e-7\n0.5 abc\n", "0.0 1e-7\n0.5 nan\n"])
+    @pytest.mark.parametrize("text", ["0.0 1e-7\n0.5 abc\n", "0.0 1e-7\n0.5 nan\n",
+                                      "0.5 1e-8\n-0.5 2e-8\n0.5 3e-8\n"])  # one |dV|
     def test_bad_calibration_file_is_config_error(self, tmp_path, capsys, text):
         path = tmp_path / "sweep.txt"
         path.write_text(text)
