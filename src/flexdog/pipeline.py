@@ -33,6 +33,7 @@ DIST_LOGNORMAL = "lognormal"
 
 TRUNCATION_SIGMAS = 4.0
 LOGNORMAL_SIGMA_MAX = math.log(np.finfo(float).max) / TRUNCATION_SIGMAS  # exp(4 sigma) finite
+TRUNCNORM_SIGMA_MAX = float(np.finfo(float).max) / TRUNCATION_SIGMAS  # 4 sigma finite
 
 # |code| at or above this marks an edge pixel; 2 LSB sits above the
 # quantization noise floor.
@@ -58,7 +59,7 @@ class VariationModel:
     distribution: str = DIST_TRUNCNORM
 
     def __post_init__(self):
-        most = LOGNORMAL_SIGMA_MAX if self.distribution == DIST_LOGNORMAL else None
+        most = LOGNORMAL_SIGMA_MAX if self.distribution == DIST_LOGNORMAL else TRUNCNORM_SIGMA_MAX
         for name in ("gamma_rel_sigma", "gain_rel_sigma", "sensor_rel_sigma"):
             check_range(name, getattr(self, name), at_least=0, at_most=most)
         if self.distribution not in (DIST_TRUNCNORM, DIST_LOGNORMAL):

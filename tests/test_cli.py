@@ -229,6 +229,11 @@ class TestMonteCarlo:
                        "--distribution", "lognormal", "--sweep-param", "gain",
                        "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
 
+    def test_truncated_level_whose_multiplier_overflows_is_config_error(self, tmp_path):
+        # tier-1 turns warnings into errors: sigma * z overflowed, and exited 3
+        assert run_cli("montecarlo", "--trials", "3", "--levels", "1e308",
+                       "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
+
     def test_zero_trials_is_config_error(self, tmp_path):
         assert run_cli("montecarlo", "--input", "pattern:step", "--trials", "0",
                        "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG

@@ -19,6 +19,7 @@ from flexdog.pipeline import (
     DIST_LOGNORMAL,
     DIST_TRUNCNORM,
     MC_BATCH_PIXELS,
+    TRUNCNORM_SIGMA_MAX,
     AdcSpec,
     AnalogConfig,
     VariationModel,
@@ -167,6 +168,14 @@ class TestVariation:
             VariationModel(**{field: 177.5}, distribution=DIST_LOGNORMAL)
         VariationModel(**{field: 177.4}, distribution=DIST_LOGNORMAL)
         VariationModel(**{field: 1e300})  # 1 + sigma * z stays finite
+
+    def test_truncated_sigma_whose_largest_multiplier_overflows_rejected(self):
+        # sigma * z overflowed, with a warning, where 4 sigma is not finite
+        for field in ("gamma_rel_sigma", "gain_rel_sigma", "sensor_rel_sigma"):
+            with pytest.raises(InvalidParameterError, match="<= 4.49"):
+                VariationModel(**{field: 1e308})
+        s = draw_variation(VariationModel(*[TRUNCNORM_SIGMA_MAX] * 3), (3, 3), (4, 4), seed=1)
+        assert all(np.all(np.isfinite(m)) for m in (s.gamma_mult, s.gain_mult, s.sensor_mult))
 
 
 class TestSense:
