@@ -107,7 +107,8 @@ def cell_factors(dv, params: CellParams, gamma_mult=1.0):
     if params.model_kind == MODEL_IDEAL:
         check_range(f"gamma {params.gamma} times its largest multiplier",
                     params.gamma * float(m.max()))
-        return 0.5, np.exp(-(params.gamma * m) * dv * dv)
+        with np.errstate(over="ignore"):  # gamma dV^2 overflowing to inf: exp's limit is 0
+            return 0.5, np.exp(-(params.gamma * m) * dv * dv)
     check_range(f"steepness {params.sigmoid.steepness} times the root of the largest gamma "
                 "multiplier", params.sigmoid.steepness * math.sqrt(float(m.max())))
     k = params.sigmoid.steepness * np.sqrt(m)

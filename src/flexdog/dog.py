@@ -107,11 +107,13 @@ def make_gaussian_kernel(sigma: float, half_width: int, normalize: bool = False)
     x^2 + y^2 only.
     """
     check_range("sigma", sigma, above=0)
-    check_range(f"sigma {sigma} squared", sigma * sigma, above=0)  # no overflow or underflow
+    # no overflow, and no subnormal square, whose peak 1 / (2 pi sigma^2) would overflow
+    check_range(f"sigma {sigma} squared", sigma * sigma, at_least=np.finfo(float).tiny)
     check_range("half_width", half_width, at_least=1)
     offsets = np.arange(-half_width, half_width + 1, dtype=np.float64)
     sq = offsets[:, None] ** 2 + offsets[None, :] ** 2
-    weights = np.exp(-sq / (2.0 * sigma * sigma)) / (2.0 * math.pi * sigma * sigma)
+    with np.errstate(over="ignore"):  # a tap's exponent overflowing to -inf: exp's limit is 0
+        weights = np.exp(-sq / (2.0 * sigma * sigma)) / (2.0 * math.pi * sigma * sigma)
     if normalize:
         weights = weights / weights.sum()
     return GaussianKernel(sigma=sigma, half_width=half_width, weights=weights)

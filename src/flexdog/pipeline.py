@@ -281,6 +281,7 @@ def _draw_samples(cfg: AnalogConfig, kernel_shape, image_shape, seeds):
     stacked on a leading trial axis.  A second array has its own gamma and gain
     but senses through the one sensor, so it draws no sensor multipliers; with
     both its sigmas 0 it draws nothing and derives no seed."""
+    check_range("seed", min(seeds), at_least=0)  # numpy's generators take no negative seed
     var = cfg.variation
     cells = (len(seeds), *kernel_shape)
     sample1 = VariationSample(np.empty(cells), np.empty(cells), np.empty((len(seeds), *image_shape)))

@@ -67,6 +67,12 @@ class TestCellResponse:
         assert resp.max() <= 1e-7
         assert dv[np.argmax(resp)] == pytest.approx(0.0, abs=1e-12)
 
+    def test_response_far_beyond_a_steep_curve_is_zero_without_warning(self):
+        # gamma * dV^2 overflowed to inf with a warning (flexdog deviation --gamma 2e277
+        # --sweep-hi 1e48 exited 3 under -W error); exp's limit is 0
+        resp = cell_response(1e-7, np.array([-1e48, 0.0, 1e48]), CellParams(gamma=2e277))
+        assert resp.tolist() == [0.0, 5e-8, 0.0]
+
     def test_steep_sigmoid_factors_are_finite_without_warning(self):
         # exp overflows to inf far from the edges; 1 / (1 + inf) = 0 is the limit
         steep = CellParams(model_kind=MODEL_SIGMOID, sigmoid=SigmoidProductParams(steepness=1e5))

@@ -134,6 +134,8 @@ class TestRun:
         # each multiplier is finite, but the largest voltage they allow is not
         ("--transimpedance",
          "1e300 --distribution lognormal --variation-sensor 177 --adc-bypass"),
+        ("--seed", "-1 --variation-gamma 0.1"),  # numpy's generators take no negative seed
+        ("--sigma1", "4.85e-157"),  # sigma**2 is subnormal: its peak weight overflows
     ])
     def test_non_finite_or_out_of_range_setting_is_config_error(self, tmp_path, option, value):
         assert run_cli("run", "--input", "pattern:step", option, *value.split(),

@@ -79,10 +79,16 @@ class TestMakeGaussianKernel:
 
     @pytest.mark.parametrize("sigma,p", [(0.0, 1), (-1.0, 1), (1.0, 0), (1.0, -2),
                                          (float("nan"), 1), (float("inf"), 1),
-                                         (1e300, 1), (1e-200, 1)])  # sigma**2 is inf or 0
+                                         (1e300, 1), (1e-200, 1),  # sigma**2 is inf or 0
+                                         (4.85e-157, 1)])  # subnormal: its peak weight is inf
     def test_invalid_parameters(self, sigma, p):
         with pytest.raises(InvalidParameterError):
             make_gaussian_kernel(sigma, p)
+
+    def test_tail_far_beyond_a_tiny_sigma_is_zero_without_warning(self):
+        # the corner's exponent, -392 / (2 sigma^2), overflowed to -inf with a warning
+        w = make_gaussian_kernel(1.5e-154, 14).weights
+        assert w[14, 14] == w.max() < math.inf and np.count_nonzero(w) == 1
 
 
 class TestConvolveValid:

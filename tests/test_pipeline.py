@@ -624,6 +624,15 @@ class TestMonteCarlo:
         assert np.array_equal(summary.per_trial_mae, maes)
         assert np.array_equal(summary.per_trial_flip_rate, flips)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_negative_seed_rejected(self, sigma):
+        # numpy's generators raised a ValueError, which the CLI mapped to exit 3
+        cfg = AnalogConfig(variation=VariationModel(sigma))
+        with pytest.raises(InvalidParameterError, match="seed"):
+            run_dog_pipeline(self.binary_image(), K1, K2, cfg, seed=-1)
+        with pytest.raises(InvalidParameterError, match="seed"):
+            monte_carlo(self.binary_image(), K1, K2, cfg, n_trials=2, base_seed=-1)
+
     def test_zero_trials_rejected(self):
         with pytest.raises(InvalidParameterError):
             monte_carlo(self.binary_image(), K1, K2, AnalogConfig(), n_trials=0, base_seed=0)
