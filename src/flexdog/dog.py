@@ -107,8 +107,10 @@ def make_gaussian_kernel(sigma: float, half_width: int, normalize: bool = False)
     x^2 + y^2 only.
     """
     check_range("sigma", sigma, above=0)
-    # no overflow, and no subnormal square, whose peak 1 / (2 pi sigma^2) would overflow
-    check_range(f"sigma {sigma} squared", sigma * sigma, at_least=np.finfo(float).tiny)
+    # 2 pi sigma^2, which divides every weight, neither overflows (the weights would be 0
+    # and normalize to nan) nor is subnormal (the peak weight would overflow)
+    check_range(f"2 pi sigma^2 at sigma {sigma}", 2.0 * math.pi * sigma * sigma,
+                at_least=np.finfo(float).tiny)
     check_range("half_width", half_width, at_least=1)
     offsets = np.arange(-half_width, half_width + 1, dtype=np.float64)
     sq = offsets[:, None] ** 2 + offsets[None, :] ** 2

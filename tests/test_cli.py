@@ -136,6 +136,7 @@ class TestRun:
          "1e300 --distribution lognormal --variation-sensor 177 --adc-bypass"),
         ("--seed", "-1 --variation-gamma 0.1"),  # numpy's generators take no negative seed
         ("--sigma1", "4.85e-157"),  # sigma**2 is subnormal: its peak weight overflows
+        ("--sigma-ratio", "1e154"),  # 2 pi sigma2**2 overflows: the weights normalized to nan
     ])
     def test_non_finite_or_out_of_range_setting_is_config_error(self, tmp_path, option, value):
         assert run_cli("run", "--input", "pattern:step", option, *value.split(),

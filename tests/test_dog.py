@@ -80,6 +80,7 @@ class TestMakeGaussianKernel:
     @pytest.mark.parametrize("sigma,p", [(0.0, 1), (-1.0, 1), (1.0, 0), (1.0, -2),
                                          (float("nan"), 1), (float("inf"), 1),
                                          (1e300, 1), (1e-200, 1),  # sigma**2 is inf or 0
+                                         (1e154, 1),  # 2 pi sigma**2 is inf: every weight 0
                                          (4.85e-157, 1)])  # subnormal: its peak weight is inf
     def test_invalid_parameters(self, sigma, p):
         with pytest.raises(InvalidParameterError):
