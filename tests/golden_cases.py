@@ -148,8 +148,8 @@ CORPORA = {
     "pipeline": (pipeline, grid({p: p for p in PATTERN_NAMES}, MODELS, ARRAYS, MODES,
                                 DISTRIBUTIONS, SETTLING, HALF_WIDTHS)),
     "strips": (strips, grid(SHAPES, MODELS, ARRAYS, MODES, HALF_WIDTHS)),
-    "strips-mc": (strips_mc, {"257x1031-ideal-split-adc-settle-P1":
-                              (SHAPES["257x1031"], MODEL_IDEAL, False, False, True, 1)}),
+    "strips-mc": (strips_mc, {"257x1031-ideal-split-adc-P1":
+                              (SHAPES["257x1031"], MODEL_IDEAL, False, False, False, 1)}),
     "cli": (cli, CLI_CASES),
 }
 

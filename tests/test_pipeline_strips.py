@@ -73,7 +73,7 @@ def test_correlate_valid_matches_per_output_reference(pixel_shape, weight_shape)
     np.testing.assert_allclose(got, np.sum(taps, axis=-1), rtol=1e-13, atol=0)
 
 
-GOLDEN_MC = "149e19c16c44fecb6cf69e7be841119cabd399d1bc705a5324fe613f8642b39a"
+GOLDEN_MC = "fb60da63a2b90a7ddd3caf7ebbd1f61d7f2faeeac4f505d31732bc52306c2244"
 
 GOLDEN = {
     "1031x61-ideal-shared-adc-P1": "5071bff554c746525b0559a6318c64622aee8e39bb1f1f1957b8d720a0d96651",
