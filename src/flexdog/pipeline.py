@@ -44,11 +44,6 @@ EDGE_THRESHOLD_CODES = 2.0
 # batch of large frames costs no more memory than one trial.
 MC_BATCH_PIXELS = 2**14
 
-# First-order settling with time constant settle_time / 7 ends within exp(-7) of
-# the final value.  settle_time cancels out and does not enter this gain.
-SETTLING_GAIN = 1.0 - math.exp(-7.0)
-
-
 @dataclass(frozen=True)
 class VariationModel:
     """Relative std-devs of per-cell gamma and gain and per-pixel sensor gain."""
@@ -101,10 +96,9 @@ class AnalogConfig:
     variation: VariationModel = VariationModel()
     adc: AdcSpec = AdcSpec()
     transimpedance: float = 10e6  # ohms
-    settle_time: float = 0.5e-6
+    settle_time: float = 0.5e-6  # read only by the runtime and energy accounting
     adc_bypass: bool = False  # infinite-resolution mode for oracle comparisons
     shared_array: bool = True  # one physical array reprogrammed per scale
-    settling_error: bool = False  # first-order incomplete-settling amplitude loss
 
     def __post_init__(self):
         check_range("transimpedance", self.transimpedance, above=0)
@@ -313,9 +307,6 @@ def _analog_codes(image: IntensityImage, chain: _Chain, cfg: AnalogConfig,
         currents = sense(image, cfg.cell_params.i_in_nominal, sample1, window)
         c1 = analog_convolve(currents, chain.pk1, sample1)
         c2 = analog_convolve(currents, chain.pk2, sample2)
-        if cfg.settling_error:
-            c1 *= SETTLING_GAIN
-            c2 *= SETTLING_GAIN
         v1 = to_voltage(c1, cfg.transimpedance)
         v2 = to_voltage(c2, cfg.transimpedance)
         if count_saturation:

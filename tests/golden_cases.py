@@ -4,7 +4,7 @@
   ``SimReport`` field) and a 23-trial ``monte_carlo`` sweep (per-trial MAE and
   flip rate; 23 trials of 28x28 span two batches) for every built-in pattern x
   both cell models x shared/split arrays x ADC/bypass x both distributions x
-  settling error on/off x P = 1, 2.
+  P = 1, 2.
 - ``strips``: a ``run_dog_pipeline`` pass on frames that span several row
   strips and end in a ragged one: 257x1031 (many strips) and 1031x61 (tall,
   narrow rows); a 28x28 pattern fits in one strip.  ``strips-mc``: a 3-trial
@@ -43,7 +43,6 @@ MODELS = {"ideal": MODEL_IDEAL, "sigmoid": MODEL_SIGMOID}
 ARRAYS = {"shared": True, "split": False}
 MODES = {"adc": False, "bypass": True}
 DISTRIBUTIONS = {"truncnorm": DIST_TRUNCNORM, "lognormal": DIST_LOGNORMAL}
-SETTLING = {"exact": False, "settle": True}
 HALF_WIDTHS = {"P1": 1, "P2": 2}
 SHAPES = {"257x1031": (257, 1031), "1031x61": (1031, 61)}
 
@@ -55,9 +54,9 @@ def grid(*axes):
                                   itertools.product(*(axis.items() for axis in axes)))}
 
 
-# (model, shared, bypass, distribution, settling, P): the configurations the
-# pipeline corpus runs on every pattern
-CONFIGS = grid(MODELS, ARRAYS, MODES, DISTRIBUTIONS, SETTLING, HALF_WIDTHS)
+# (model, shared, bypass, distribution, P): the configurations the pipeline
+# corpus runs on every pattern
+CONFIGS = grid(MODELS, ARRAYS, MODES, DISTRIBUTIONS, HALF_WIDTHS)
 
 
 def kernels(p=1, sigma1=DEFAULT_SIGMA1):
@@ -66,11 +65,11 @@ def kernels(p=1, sigma1=DEFAULT_SIGMA1):
             make_gaussian_kernel(sigma1 * DEFAULT_SIGMA_RATIO, p, normalize=True))
 
 
-def config(model, shared, bypass, distribution=DIST_TRUNCNORM, settling=False):
+def config(model, shared, bypass, distribution=DIST_TRUNCNORM):
     """Every variation sigma at SIGMA."""
     return AnalogConfig(cell_params=CellParams(model_kind=model),
                         variation=VariationModel(SIGMA, SIGMA, SIGMA, distribution),
-                        shared_array=shared, adc_bypass=bypass, settling_error=settling)
+                        shared_array=shared, adc_bypass=bypass)
 
 
 def seeded_image(h, w):
@@ -100,8 +99,8 @@ def strips(shape, model, shared, bypass, p):
     return _frame(seeded_image(*shape), p, config(model, shared, bypass))
 
 
-def strips_mc(shape, model, shared, bypass, settling, p):
-    return _sweep(seeded_image(*shape), p, config(model, shared, bypass, settling=settling), 3)
+def strips_mc(shape, model, shared, bypass, p):
+    return _sweep(seeded_image(*shape), p, config(model, shared, bypass), 3)
 
 
 def _artifact(path):
@@ -146,10 +145,10 @@ CLI_CASES.update({
 # corpus -> (runner, case name -> the runner's arguments)
 CORPORA = {
     "pipeline": (pipeline, grid({p: p for p in PATTERN_NAMES}, MODELS, ARRAYS, MODES,
-                                DISTRIBUTIONS, SETTLING, HALF_WIDTHS)),
+                                DISTRIBUTIONS, HALF_WIDTHS)),
     "strips": (strips, grid(SHAPES, MODELS, ARRAYS, MODES, HALF_WIDTHS)),
     "strips-mc": (strips_mc, {"257x1031-ideal-split-adc-P1":
-                              (SHAPES["257x1031"], MODEL_IDEAL, False, False, False, 1)}),
+                              (SHAPES["257x1031"], MODEL_IDEAL, False, False, 1)}),
     "cli": (cli, CLI_CASES),
 }
 

@@ -8,7 +8,7 @@ import numpy as np
 import golden_diff
 from golden_cases import outputs
 
-CASES = [("pipeline", "checkerboard-ideal-shared-adc-truncnorm-exact-P1"), ("cli", "perf-paper")]
+CASES = [("pipeline", "checkerboard-ideal-shared-adc-truncnorm-P1"), ("cli", "perf-paper")]
 
 
 def diff_table(monkeypatch, capsys, *srcs):

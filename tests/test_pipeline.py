@@ -532,15 +532,6 @@ class TestRunDogPipeline:
         with pytest.raises(InvalidParameterError, match="largest"):
             run_dog_pipeline(img, K1, K2, cfg, seed=1)
 
-    def test_settling_error_mode_attenuates(self):
-        img = IntensityImage(np.ones((10, 10)))
-        base, _ = run_dog_pipeline(img, K1, K2, AnalogConfig(adc_bypass=True), seed=0)
-        att, _ = run_dog_pipeline(
-            img, K1, K2, AnalogConfig(adc_bypass=True, settling_error=True), seed=0
-        )
-        factor = 1.0 - np.exp(-7.0)
-        assert np.allclose(att.codes, base.codes * factor, rtol=1e-12)
-
     def test_report_energy_consistency(self):
         img = IntensityImage(np.full((28, 28), 0.5))
         _, report = run_dog_pipeline(img, K1, K2, AnalogConfig(), seed=0)

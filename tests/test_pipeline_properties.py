@@ -74,7 +74,6 @@ def pipeline_case(draw):
         settle_time=positive(draw, -6, -12, 3),
         adc_bypass=draw(st.booleans()),
         shared_array=draw(st.booleans()),
-        settling_error=draw(st.booleans()),
     )
     return pixels, kernels, settings_, draw(st.integers(0, 2**32 - 1))
 
@@ -89,8 +88,7 @@ def build(kernels, s):
         variation=VariationModel(*s["variation"]),
         adc=AdcSpec(**s["adc"]),
         transimpedance=s["transimpedance"], settle_time=s["settle_time"],
-        adc_bypass=s["adc_bypass"], shared_array=s["shared_array"],
-        settling_error=s["settling_error"])
+        adc_bypass=s["adc_bypass"], shared_array=s["shared_array"])
     return (make_gaussian_kernel(sigma1, p, normalize=normalize),
             make_gaussian_kernel(sigma2, p, normalize=normalize), cfg)
 
