@@ -130,7 +130,7 @@ def cell_response(i_in, dv, params: CellParams):
 
 def weight_to_dv(gain: float, params: CellParams) -> float:
     """Nonnegative dV realizing I_out / I_in = gain in the ideal model."""
-    if gain <= 0:
+    if not gain > 0:  # nan too
         raise InvalidGainError(f"gain must be positive, got {gain}")
     if gain > PEAK_GAIN:
         raise UnachievableGainError(f"gain {gain} exceeds the cell peak gain {PEAK_GAIN}")

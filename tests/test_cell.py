@@ -122,7 +122,7 @@ class TestWeightToDv:
         with pytest.raises(UnachievableGainError):
             weight_to_dv(0.6, IDEAL)
 
-    @pytest.mark.parametrize("gain", [0.0, -0.1])
+    @pytest.mark.parametrize("gain", [0.0, -0.1, float("nan")])
     def test_nonpositive_gain_rejected(self, gain):
         with pytest.raises(InvalidGainError):
             weight_to_dv(gain, IDEAL)
