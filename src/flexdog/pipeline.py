@@ -141,6 +141,8 @@ def draw_variation(
     are exactly 1, so draws after the last nonzero sigma are skipped, moving no
     other value.  ``image_shape`` None leaves ``out``'s sensor as it is."""
     if out is None:
+        if image_shape is None:
+            raise DimensionError("image_shape None needs out, whose sensor it leaves as it is")
         out = VariationSample(np.empty(kernel_shape), np.empty(kernel_shape), np.empty(image_shape))
     draws = [(model.gamma_rel_sigma, out.gamma_mult), (model.gain_rel_sigma, out.gain_mult),
              (model.sensor_rel_sigma, out.sensor_mult)][: 2 if image_shape is None else 3]
