@@ -224,8 +224,8 @@ def block_perf_spec(half_width: int, i_in: float, settle_time: float,
                     **accounting)
 
 
-def edge_map(codes: np.ndarray, threshold: float = EDGE_THRESHOLD_CODES) -> np.ndarray:
-    return np.abs(np.asarray(codes, dtype=np.float64)) >= threshold
+def edge_map(codes: np.ndarray) -> np.ndarray:
+    return np.abs(np.asarray(codes, dtype=np.float64)) >= EDGE_THRESHOLD_CODES
 
 
 class _Chain(NamedTuple):
