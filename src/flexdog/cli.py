@@ -377,8 +377,6 @@ def cmd_deviation(args) -> int:
 
 def cmd_perf(args) -> int:
     s = resolve_settings(args)
-    if args.width < 1 or args.height < 1:
-        raise ConfigurationError("image dimensions must be positive")
     fig = perf_figures(args.height, args.width, build_perf_spec(s))
 
     print(f"{'power':<22}{fig['power_w'] * 1e6:.6g} uW")

@@ -352,6 +352,7 @@ class TestPerf:
 
     def test_bad_dimensions(self, tmp_path):
         assert run_cli("perf", "0", "28", "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
 
 
 ERROR_CLASSES = [c for c in vars(errors).values()
