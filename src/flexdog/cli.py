@@ -82,31 +82,36 @@ SETTINGS = {row.name: row for row in (
     Setting("sigma1", float, DEFAULT_SIGMA1, "kernels", "narrow Gaussian scale"),
     Setting("sigma_ratio", float, DEFAULT_SIGMA_RATIO, "kernels", "sigma2/sigma1 (> 1)"),
     Setting("half_width", int, 1, "kernels", "kernel half-width P"),
-    Setting("gamma", float, 1.0, "cell model", "cell curvature constant (1/V^2)"),
-    Setting("i_in", float, 100e-9, "cell model", "nominal input current (A)"),
-    Setting("model", (MODEL_IDEAL, MODEL_SIGMOID), MODEL_IDEAL, "cell model"),
-    Setting("steepness", float, 10.0, "cell model", "sigmoid-product logistic slope (1/V)"),
-    Setting("half_separation", float, 0.4, "cell model",
+    Setting("gamma", float, CellParams.gamma, "cell model", "cell curvature constant (1/V^2)"),
+    Setting("i_in", float, CellParams.i_in_nominal, "cell model", "nominal input current (A)"),
+    Setting("model", (MODEL_IDEAL, MODEL_SIGMOID), CellParams.model_kind, "cell model"),
+    Setting("steepness", float, SigmoidProductParams.steepness, "cell model",
+            "sigmoid-product logistic slope (1/V)"),
+    Setting("half_separation", float, SigmoidProductParams.half_separation, "cell model",
             "sigmoid-product half-separation (V)"),
     Setting("calibrate", str, None, "cell model", "fit gamma from a (dv, i_out) sweep file"),
-    Setting("variation_gamma", float, 0.0, "process variation",
+    Setting("variation_gamma", float, VariationModel.gamma_rel_sigma, "process variation",
             "relative sigma of per-cell gamma"),
-    Setting("variation_gain", float, 0.0, "process variation",
+    Setting("variation_gain", float, VariationModel.gain_rel_sigma, "process variation",
             "relative sigma of per-cell gain"),
-    Setting("variation_sensor", float, 0.0, "process variation",
+    Setting("variation_sensor", float, VariationModel.sensor_rel_sigma, "process variation",
             "relative sigma of per-pixel sensors"),
-    Setting("distribution", (DIST_TRUNCNORM, DIST_LOGNORMAL), DIST_TRUNCNORM,
+    Setting("distribution", (DIST_TRUNCNORM, DIST_LOGNORMAL), VariationModel.distribution,
             "process variation"),
-    Setting("bits", int, 8, "analog chain", "ADC resolution"),
-    Setting("vref", float, None, "analog chain", "ADC full scale (V); default auto"),
-    Setting("adc_bypass", bool, False, "analog chain",
+    Setting("bits", int, AdcSpec.bits, "analog chain", "ADC resolution"),
+    Setting("vref", float, AdcSpec.vref, "analog chain", "ADC full scale (V); default auto"),
+    Setting("adc_bypass", bool, AnalogConfig.adc_bypass, "analog chain",
             "skip quantization (infinite-resolution mode)"),
-    Setting("transimpedance", float, 10e6, "analog chain", "current-to-voltage gain (ohm)"),
-    Setting("settle_time", float, 0.5e-6, "analog chain", "per-pixel settling time (s)"),
-    Setting("supply", float, 3.3, "performance accounting", "supply voltage (V)"),
-    Setting("parallelism", int, 1, "performance accounting", "modelled filter blocks, not threads"),
-    Setting("pixel_mode", (PIXELS_FULL, PIXELS_VALID), PIXELS_FULL, "performance accounting"),
-    Setting("adc_separate", bool, False, "performance accounting",
+    Setting("transimpedance", float, AnalogConfig.transimpedance, "analog chain",
+            "current-to-voltage gain (ohm)"),
+    Setting("settle_time", float, AnalogConfig.settle_time, "analog chain",
+            "per-pixel settling time (s)"),
+    Setting("supply", float, PerfSpec.supply_v, "performance accounting", "supply voltage (V)"),
+    Setting("parallelism", int, PerfSpec.parallelism, "performance accounting",
+            "modelled filter blocks, not threads"),
+    Setting("pixel_mode", (PIXELS_FULL, PIXELS_VALID), PerfSpec.pixel_count_mode,
+            "performance accounting"),
+    Setting("adc_separate", bool, PerfSpec.adc_separate, "performance accounting",
             "bill ADC conversions on top of settling"),
     Setting("seed", int, 0, None, "RNG seed"),
     Setting("out_dir", str, "out", None, "artifact directory"),
