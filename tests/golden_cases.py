@@ -65,11 +65,12 @@ def kernels(p=1, sigma1=DEFAULT_SIGMA1):
             make_gaussian_kernel(sigma1 * DEFAULT_SIGMA_RATIO, p, normalize=True))
 
 
-def config(model, shared, bypass, distribution=DIST_TRUNCNORM):
+def config(model, shared, bypass, distribution=DIST_TRUNCNORM,
+           settle_time=AnalogConfig.settle_time):
     """Every variation sigma at SIGMA."""
     return AnalogConfig(cell_params=CellParams(model_kind=model),
                         variation=VariationModel(SIGMA, SIGMA, SIGMA, distribution),
-                        shared_array=shared, adc_bypass=bypass)
+                        settle_time=settle_time, shared_array=shared, adc_bypass=bypass)
 
 
 def seeded_image(h, w):
@@ -89,14 +90,14 @@ def _sweep(image, p, cfg, n_trials):
     return {"mc_mae": summary.per_trial_mae, "mc_flip": summary.per_trial_flip_rate}
 
 
-def pipeline(pattern, *settings):
+def pipeline(pattern, *settings, settle_time=AnalogConfig.settle_time):
     *config_args, p = settings
-    image, cfg = make_pattern(pattern), config(*config_args)
+    image, cfg = make_pattern(pattern), config(*config_args, settle_time=settle_time)
     return {**_frame(image, p, cfg), **_sweep(image, p, cfg, 23)}
 
 
-def strips(shape, model, shared, bypass, p):
-    return _frame(seeded_image(*shape), p, config(model, shared, bypass))
+def strips(shape, model, shared, bypass, p, settle_time=AnalogConfig.settle_time):
+    return _frame(seeded_image(*shape), p, config(model, shared, bypass, settle_time=settle_time))
 
 
 def strips_mc(shape, model, shared, bypass, p):
@@ -157,10 +158,25 @@ def cases(corpus):
     return sorted(CORPORA[corpus][1])
 
 
-def outputs(corpus, case):
-    """Run one case: its named outputs, in digest order."""
+def outputs(corpus, case, **overrides):
+    """Run one case: its named outputs, in digest order.  ``overrides`` go to
+    the runner as keywords (``settle_time`` for ``pipeline`` and ``strips``)."""
     run, args = CORPORA[corpus]
-    return run(*args[case])
+    return run(*args[case], **overrides)
+
+
+# the report fields that settle_time scales; every other output ignores it
+TIMING_FIELDS = ("runtime_s", "energy_j", "dog_runtime_s", "dog_energy_j")
+
+
+def outputs_at_half_settle_time(corpus, case):
+    """A case's outputs at half the default settle_time, the timing fields
+    doubled back.  Halving keeps each real-time verdict of the corpora, and
+    a power-of-two scale is exact, so the digest equals the golden one when
+    settle_time moves nothing but the runtime and energy accounting."""
+    out = outputs(corpus, case, settle_time=AnalogConfig.settle_time / 2)
+    out["report"].update({name: 2 * out["report"][name] for name in TIMING_FIELDS})
+    return out
 
 
 def digest(outputs):

@@ -16,12 +16,17 @@ import pytest
 from flexdog.dog import correlate_valid
 from flexdog.imageio import make_pattern
 from flexdog.pipeline import MC_BATCH_PIXELS
-from golden_cases import CORPORA, cases, digest, outputs
+from golden_cases import CORPORA, cases, digest, outputs, outputs_at_half_settle_time
 
 
 @pytest.mark.parametrize("case", cases("strips"))
 def test_pipeline_case_matches_golden(case):
     assert digest(outputs("strips", case)) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", cases("strips"))
+def test_settle_time_moves_only_the_timing(case):
+    assert digest(outputs_at_half_settle_time("strips", case)) == GOLDEN[case]
 
 
 def test_monte_carlo_across_strips_matches_golden():
