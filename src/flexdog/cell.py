@@ -61,7 +61,8 @@ class ProgrammedKernel:
     """dV biases realizing a Gaussian kernel on a cell array.
 
     scale is the global gain factor s = (1/2) / max(w), so the programmed
-    per-cell gain is s * w(i, j) and the center cell sits at dV = 0.
+    per-cell gain is s * w(i, j).  The center cell sits at dV = 0, or at
+    sqrt(2**-53 / gamma) where s * max(w) rounds to 1/2 - 2**-54.
     """
 
     dv_grid: np.ndarray
@@ -100,7 +101,7 @@ def cell_factors(dv, params: CellParams, gamma_mult=1.0):
     multiplier scales the steepness by sqrt(gamma_mult).
     """
     m = np.asarray(gamma_mult, dtype=np.float64)
-    if np.any(m <= 0):
+    if not np.all(m > 0):  # nan too
         raise InvalidParameterError(f"gamma multipliers must be positive, got {float(m.min())}")
     dv = np.asarray(dv, dtype=np.float64)
     # an infinite gamma or slope times dV = 0 would give nan: check the largest (Python floats)
@@ -128,26 +129,29 @@ def cell_response(i_in, dv, params: CellParams):
     return out if out.ndim else float(out)
 
 
-def weight_to_dv(gain: float, params: CellParams) -> float:
-    """Nonnegative dV realizing I_out / I_in = gain in the ideal model."""
-    if not gain > 0:  # nan too
-        raise InvalidGainError(f"gain must be positive, got {gain}")
-    if gain > PEAK_GAIN:
-        raise UnachievableGainError(f"gain {gain} exceeds the cell peak gain {PEAK_GAIN}")
-    return float(np.sqrt(-np.log(2.0 * gain) / params.gamma))
+def weight_to_dv(gain, params: CellParams):
+    """Nonnegative dV realizing I_out / I_in = gain in the ideal model;
+    elementwise on an array of gains, a float for a scalar."""
+    g = np.asarray(gain, dtype=np.float64)
+    if not np.all(g > 0):  # nan too
+        raise InvalidGainError(f"gain must be positive, got {float(g.min())}")
+    if np.any(g > PEAK_GAIN):
+        raise UnachievableGainError(f"gain {float(g.max())} exceeds the cell peak gain {PEAK_GAIN}")
+    with np.errstate(over="ignore"):  # a tiny gamma asks for an infinite bias: rejected below
+        dv = np.sqrt(-np.log(2.0 * g) / params.gamma)
+    check_range(f"largest programmed bias at gamma {params.gamma}", float(dv.max(initial=0.0)))
+    return dv if dv.ndim else float(dv)
 
 
 def program_kernel(kernel: GaussianKernel, params: CellParams) -> ProgrammedKernel:
     """Map kernel weights to dV biases, scaled so the max weight gets gain 1/2."""
     w = kernel.weights
-    if np.any(w <= 0):
-        raise InvalidGainError("kernel weights must all be positive to program cells")
+    if not np.all((w > 0) & (w < np.inf)):  # nan fails both
+        raise InvalidGainError("kernel weights must all be positive and finite to program cells")
     scale = PEAK_GAIN / float(w.max())
-    # 2 * scale * max(w) == 1 exactly, so the center cell lands at dV = 0.
-    with np.errstate(over="ignore"):  # a tiny gamma asks for an infinite bias: rejected below
-        dv_grid = np.sqrt(-np.log(2.0 * scale * w) / params.gamma)
-    check_range(f"largest programmed bias at gamma {params.gamma}", float(dv_grid.max()))
-    return ProgrammedKernel(dv_grid=dv_grid, scale=scale, source_kernel=kernel, params=params)
+    # scale * max(w) rounds to 1/2 or 1/2 - 2**-54: the center bias is 0 or sqrt(2**-53 / gamma)
+    return ProgrammedKernel(dv_grid=weight_to_dv(scale * w, params), scale=scale,
+                            source_kernel=kernel, params=params)
 
 
 def fit_gaussian(dv: np.ndarray, i_out: np.ndarray) -> tuple[float, float]:

@@ -166,6 +166,8 @@ def resolve_settings(args) -> dict:
     for name, setting in SETTINGS.items():
         cli_value = getattr(args, name)
         settings[name] = cli_value if cli_value is not None else filecfg.get(name, setting.default)
+        if setting.kind is float and settings[name] is not None:  # the report holds it, used or not
+            check_range(name.replace("_", "-"), settings[name])
     check_range("threshold", settings["threshold"], at_least=0.0, at_most=1.0)
     check_range("sigma-ratio", settings["sigma_ratio"], above=1.0)
     return settings
@@ -217,8 +219,8 @@ def build_analog_config(s: dict) -> AnalogConfig:
     )
 
 
-def build_perf_spec(s: dict, adc: AdcSpec = AdcSpec()) -> PerfSpec:
-    return block_perf_spec(s["half_width"], s["i_in"], s["settle_time"], adc,
+def build_perf_spec(s: dict) -> PerfSpec:
+    return block_perf_spec(s["half_width"], s["i_in"], s["settle_time"],
                            supply_v=s["supply"], parallelism=s["parallelism"],
                            pixel_count_mode=s["pixel_mode"], adc_separate=s["adc_separate"])
 
@@ -265,9 +267,9 @@ def write_json(path: Path, s: dict, **sections) -> None:
         "config": s,
         **sections,
     }
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)  # RFC 8259: no nan or inf
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def cmd_run(args) -> int:
@@ -276,7 +278,7 @@ def cmd_run(args) -> int:
     k1, k2 = build_kernels(s, image)
     cfg = build_analog_config(s)
     codes, report = run_dog_pipeline(image, k1, k2, cfg, seed=s["seed"],
-                                     perf_spec=build_perf_spec(s, cfg.adc))
+                                     perf_spec=build_perf_spec(s))
 
     out = output_dir(s)
     artifacts = {

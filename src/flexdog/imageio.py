@@ -112,17 +112,17 @@ def binarize(image: IntensityImage, threshold: float = 0.5) -> IntensityImage:
     return IntensityImage(pixels=(image.pixels >= threshold).astype(np.float64))
 
 
-def make_pattern(name: str, size: int = PATTERN_SIZE) -> IntensityImage:
-    """Built-in binary test patterns: constant, step, checkerboard, dot."""
-    check_range("pattern size", size, at_least=3)
+def make_pattern(name: str) -> IntensityImage:
+    """Built-in PATTERN_SIZE-square binary test patterns: constant, step,
+    checkerboard, dot."""
+    size = PATTERN_SIZE
     if name == "constant":
         pixels = np.full((size, size), 0.5)
     elif name == "step":
         pixels = np.zeros((size, size))
         pixels[:, size // 2 :] = 1.0
     elif name == "checkerboard":
-        block = max(1, size // 7)
-        idx = np.arange(size) // block
+        idx = np.arange(size) // (size // 7)
         pixels = ((idx[:, None] + idx[None, :]) % 2).astype(np.float64)
     elif name == "dot":
         pixels = np.zeros((size, size))

@@ -108,8 +108,11 @@ def perf_figures(m: int, n: int, spec: PerfSpec) -> dict:
     extrapolation and the real-time verdict, keyed as in SimReport."""
     p = power(spec)
     t = runtime(m, n, spec)
-    return dict(power_w=p, runtime_s=t, energy_j=p * t, dog_runtime_s=2.0 * t,
-                dog_energy_j=2.0 * p * t, realtime=realtime_check(t))
+    figures = dict(power_w=p, runtime_s=t, energy_j=p * t, dog_runtime_s=2.0 * t,
+                   dog_energy_j=2.0 * p * t)
+    for name, value in figures.items():  # each factor is finite, but a product may overflow
+        check_range(name, value)
+    return dict(figures, realtime=realtime_check(t))
 
 
 def build_report(m: int, n: int, spec: PerfSpec, **metrics) -> SimReport:

@@ -164,7 +164,7 @@ def sense(image: IntensityImage, i_in_nominal: float, sample: VariationSample,
             f"image shape {image.pixels.shape}"
         )
     sensor_mult = sample.sensor_mult[..., rows, :]
-    if np.any(sensor_mult < 0):
+    if not np.all(sensor_mult >= 0):  # nan too
         raise InvalidParameterError(
             f"sensor multipliers must be nonnegative, got {float(sample.sensor_mult.min())}")
     return image.pixels[rows] * i_in_nominal * sensor_mult
@@ -179,7 +179,7 @@ def analog_convolve(currents: np.ndarray, pk: ProgrammedKernel, sample: Variatio
     regardless of how callers parallelize.  Currents may carry leading trial
     axes (..., H, W), with the sample's multipliers shaped (..., kh, kw).
     """
-    if np.any(sample.gain_mult < 0):
+    if not np.all(sample.gain_mult >= 0):  # nan too
         raise InvalidParameterError(
             f"gain multipliers must be nonnegative, got {float(sample.gain_mult.min())}")
     a, b = cell_factors(pk.dv_grid, pk.params, sample.gamma_mult)

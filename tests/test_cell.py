@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -18,7 +19,7 @@ from flexdog.cell import (
     sweep_deviation,
     weight_to_dv,
 )
-from flexdog.dog import GaussianKernel, make_gaussian_kernel
+from flexdog.dog import DEFAULT_SIGMA_RATIO, GaussianKernel, make_gaussian_kernel
 from flexdog.errors import (
     ConfigurationError,
     InvalidGainError,
@@ -134,6 +135,28 @@ class TestWeightToDv:
             dv = weight_to_dv(gain, params)
             assert cell_response(1.0, dv, params) == pytest.approx(gain, rel=1e-12)
 
+    def test_elementwise_on_an_array(self):
+        gains = np.random.default_rng(9).uniform(1e-6, 0.5, (3, 4))
+        dv = weight_to_dv(gains, IDEAL)
+        assert dv.shape == gains.shape
+        assert np.array_equal(dv, [[weight_to_dv(float(g), IDEAL) for g in row] for row in gains])
+        assert type(weight_to_dv(0.25, IDEAL)) is float
+
+    @pytest.mark.parametrize("bad,error", [(0.6, UnachievableGainError),
+                                           (math.nan, InvalidGainError)])
+    def test_one_bad_gain_in_an_array_rejected(self, bad, error):
+        gains = np.full((3, 3), 0.25)
+        gains[2, 1] = bad
+        with pytest.raises(error):
+            weight_to_dv(gains, IDEAL)
+
+    def test_gamma_whose_bias_overflows_rejected(self):
+        # -log(2 gain) / gamma overflows: no finite bias realizes the gain
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="largest programmed bias"):
+                weight_to_dv(0.1, CellParams(gamma=3e-320))
+
 
 class TestProgramKernel:
     def test_flat_kernel_all_zero_bias(self):
@@ -164,12 +187,25 @@ class TestProgramKernel:
             gains = np.asarray(cell_response(1.0, pk.dv_grid, params))
             assert np.allclose(gains, pk.scale * weights, rtol=1e-12)
 
-    def test_nonpositive_weights_rejected(self):
+    @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+    def test_nonpositive_weights_rejected(self, bad):
         w = np.full((3, 3), 0.3)
-        w[0, 1] = 0.0
+        w[0, 1] = bad
         k = GaussianKernel(sigma=1.0, half_width=1, weights=w)
-        with pytest.raises(InvalidGainError):
-            program_kernel(k, IDEAL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGainError):
+                program_kernel(k, IDEAL)
+
+    def test_center_bias_is_zero_or_one_rounding_step(self):
+        # (1/2 / max(w)) * max(w) is 1/2 or 1/2 - 2**-54, whose bias is sqrt(2**-53 / gamma)
+        centers = set()
+        for sigma in np.linspace(0.3, 3.0, 271):
+            for s, p, normalize in itertools.product((sigma, sigma * DEFAULT_SIGMA_RATIO),
+                                                     (1, 2, 3), (False, True)):
+                pk = program_kernel(make_gaussian_kernel(s, p, normalize=normalize), IDEAL)
+                centers.add(float(pk.dv_grid[p, p]))
+        assert centers == {0.0, math.sqrt(2**-53 / IDEAL.gamma)}
 
     def test_gamma_whose_bias_overflows_rejected(self):
         # -log(gain) / gamma overflows: no finite bias programs the weight

@@ -354,6 +354,20 @@ class TestPerf:
         assert run_cli("perf", "0", "28", "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("perf", "28", "28", "--supply", "1e300", "--i-in", "1e300"),  # power overflows
+        ("run", "--supply", "1e300", "--i-in", "1e10"),
+        ("perf", "28", "28", "--vref", "inf"),  # read only by the report's settings
+    ], ids=["perf-power", "run-power", "perf-unused-vref"])
+    def test_report_that_would_hold_inf_rejected(self, tmp_path, argv):
+        assert run_cli(*argv, "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    def test_report_rejects_non_finite_figure(self, tmp_path):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli.write_json(tmp_path / "perf.json", {}, perf={"power_w": float("inf")})
+        assert not (tmp_path / "perf.json").exists()
+
 
 ERROR_CLASSES = [c for c in vars(errors).values()
                  if isinstance(c, type) and issubclass(c, Exception)

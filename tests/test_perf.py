@@ -6,6 +6,7 @@ from flexdog.perf import (
     PerfSpec,
     build_report,
     energy,
+    perf_figures,
     power,
     realtime_check,
     runtime,
@@ -99,3 +100,16 @@ class TestSimReport:
         assert report.realtime is True
         d = report.to_dict()
         assert d["seed"] == 7 and d["power_w"] == report.power_w
+
+
+class TestPerfFigures:
+    @pytest.mark.parametrize("spec,figure", [
+        (PerfSpec(supply_v=1e300, node_current=1e300), "power_w"),
+        (PerfSpec(settle_time=1e306), "runtime_s"),
+        (PerfSpec(supply_v=1e300, settle_time=1e12), "energy_j"),
+        (PerfSpec(settle_time=2e305), "dog_runtime_s"),
+    ])
+    def test_overflowing_figure_rejected(self, spec, figure):
+        # every field is finite, but a product of them overflows
+        with pytest.raises(InvalidParameterError, match=f"^{figure} "):
+            perf_figures(28, 28, spec)

@@ -217,9 +217,10 @@ class TestSense:
         with pytest.raises(DimensionError):
             sense(img, 100e-9, no_variation_sample((5, 5)))
 
-    def test_negative_sensor_multiplier_on_dark_pixel_rejected(self):
+    @pytest.mark.parametrize("bad", [-0.5, math.nan])
+    def test_negative_sensor_multiplier_on_dark_pixel_rejected(self, bad):
         sample = no_variation_sample((4, 4))
-        sample.sensor_mult[0, 0] = -0.5
+        sample.sensor_mult[0, 0] = bad
         with pytest.raises(InvalidParameterError, match="sensor multipliers"):
             sense(IntensityImage(np.zeros((4, 4))), 100e-9, sample)
 
@@ -332,7 +333,7 @@ class TestAnalogConvolve:
             assert np.array_equal(out[t], single)
 
     @pytest.mark.parametrize("model", [MODEL_IDEAL, MODEL_SIGMOID])
-    @pytest.mark.parametrize("bad", [0.0, -0.2])
+    @pytest.mark.parametrize("bad", [0.0, -0.2, math.nan])
     def test_nonpositive_gamma_multiplier_rejected(self, model, bad):
         params = CellParams(model_kind=model)
         pk = program_kernel(K1, params)
@@ -348,11 +349,12 @@ class TestAnalogConvolve:
         with pytest.raises(InvalidParameterError):
             analog_convolve(np.ones((5, 5)), pk, sample)
 
-    def test_one_negative_gain_multiplier_rejected(self):
+    @pytest.mark.parametrize("bad", [-0.5, math.nan])
+    def test_one_negative_gain_multiplier_rejected(self, bad):
         # the summed output stays positive, so only the multiplier shows the fault
         pk = program_kernel(K1, CellParams())
         sample = no_variation_sample((5, 5))
-        sample.gain_mult[1, 1] = -0.5
+        sample.gain_mult[1, 1] = bad
         with pytest.raises(InvalidParameterError, match="gain multipliers"):
             analog_convolve(np.ones((5, 5)), pk, sample)
 
