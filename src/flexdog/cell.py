@@ -148,7 +148,9 @@ def program_kernel(kernel: GaussianKernel, params: CellParams) -> ProgrammedKern
     w = kernel.weights
     if not np.all((w > 0) & (w < np.inf)):  # nan fails both
         raise InvalidGainError("kernel weights must all be positive and finite to program cells")
-    scale = PEAK_GAIN / float(w.max())
+    w_max = float(w.max())
+    scale = PEAK_GAIN / w_max
+    check_range(f"programming scale {PEAK_GAIN} / largest weight {w_max} (subnormal)", scale)
     # scale * max(w) rounds to 1/2 or 1/2 - 2**-54: the center bias is 0 or sqrt(2**-53 / gamma)
     return ProgrammedKernel(dv_grid=weight_to_dv(scale * w, params), scale=scale,
                             source_kernel=kernel, params=params)

@@ -257,6 +257,22 @@ def output_dir(s: dict) -> Path:
     return out
 
 
+# the accounting figures as printed: each one's unit and factor from SI
+PRINTED_UNITS = {"power_w": ("uW", 1e6), "runtime_s": ("us", 1e6), "energy_j": ("nJ", 1e9),
+                 "dog_runtime_s": ("us", 1e6), "dog_energy_j": ("nJ", 1e9)}
+
+
+def printed_figures(figures: dict) -> dict:
+    """The accounting figures in their printed units.  Each is finite in SI,
+    but a scaled one may overflow; that is a configuration error, raised
+    before anything is printed or written."""
+    shown = {}
+    for name, (unit, factor) in PRINTED_UNITS.items():
+        shown[name] = figures[name] * factor
+        check_range(f"{name} {figures[name]} in {unit}", shown[name])
+    return shown
+
+
 def write_json(path: Path, s: dict, **sections) -> None:
     """Write a report: the header every subcommand shares (schema and tool
     version, timestamp, resolved settings) followed by ``sections``."""
@@ -279,6 +295,7 @@ def cmd_run(args) -> int:
     cfg = build_analog_config(s)
     codes, report = run_dog_pipeline(image, k1, k2, cfg, seed=s["seed"],
                                      perf_spec=build_perf_spec(s))
+    shown = printed_figures(report.to_dict())
 
     out = output_dir(s)
     artifacts = {
@@ -292,9 +309,9 @@ def cmd_run(args) -> int:
     write_pgm(artifacts["analog_dog"], codes_to_gray(codes.codes, s["bits"]))
     write_json(Path(artifacts["report"]), s, sim_report=report.to_dict(), artifacts=artifacts)
 
-    print(f"power      {report.power_w * 1e6:.6g} uW")
-    print(f"runtime    {report.runtime_s * 1e6:.6g} us per convolution")
-    print(f"energy     {report.energy_j * 1e9:.6g} nJ per convolution")
+    print(f"power      {shown['power_w']:.6g} uW")
+    print(f"runtime    {shown['runtime_s']:.6g} us per convolution")
+    print(f"energy     {shown['energy_j']:.6g} nJ per convolution")
     print(f"realtime   {report.realtime}")
     print(f"MAE        {report.mean_abs_error_code:.4f} codes (vs digital oracle)")
     print(f"artifacts  {out}/")
@@ -385,12 +402,13 @@ def cmd_deviation(args) -> int:
 def cmd_perf(args) -> int:
     s = resolve_settings(args)
     fig = perf_figures(args.height, args.width, build_perf_spec(s))
+    shown = printed_figures(fig)
 
-    print(f"{'power':<22}{fig['power_w'] * 1e6:.6g} uW")
-    print(f"{'runtime/convolution':<22}{fig['runtime_s'] * 1e6:.6g} us")
-    print(f"{'energy/convolution':<22}{fig['energy_j'] * 1e9:.6g} nJ")
-    print(f"{'full-DoG runtime':<22}{fig['dog_runtime_s'] * 1e6:.6g} us (2x extrapolation)")
-    print(f"{'full-DoG energy':<22}{fig['dog_energy_j'] * 1e9:.6g} nJ (2x extrapolation)")
+    print(f"{'power':<22}{shown['power_w']:.6g} uW")
+    print(f"{'runtime/convolution':<22}{shown['runtime_s']:.6g} us")
+    print(f"{'energy/convolution':<22}{shown['energy_j']:.6g} nJ")
+    print(f"{'full-DoG runtime':<22}{shown['dog_runtime_s']:.6g} us (2x extrapolation)")
+    print(f"{'full-DoG energy':<22}{shown['dog_energy_j']:.6g} nJ (2x extrapolation)")
     print(f"{'realtime (< 42 ms)':<22}{fig['realtime']}")
 
     write_json(output_dir(s) / "perf.json", s,

@@ -7,7 +7,9 @@ its input current by one effective weight, its transfer ratio times its gain.
 The digital subtraction compensates the differing global programming scales of
 the two kernels before differencing, and every run is reproducible from its
 seed: trial t of a Monte Carlo sweep draws from base_seed + t alone, whatever
-batch it runs in.
+batch it runs in.  draw_variation is the per-trial reference draw; a batch
+draws each trial's multipliers with one call and scales them once per batch,
+to the same bits.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class VariationModel:
 @dataclass(frozen=True)
 class VariationSample:
     """One concrete draw of multiplicative device perturbations; monte_carlo
-    stacks trials' draws along a leading axis."""
+    stacks trials' draws along a leading axis, as views of one buffer."""
 
     gamma_mult: np.ndarray  # kernel-shaped
     gain_mult: np.ndarray  # kernel-shaped
@@ -114,19 +116,33 @@ class CodeFrame:
     oracle: np.ndarray
 
 
-def _multipliers(rng, sigma, out, distribution):
-    """Fill ``out`` in place; standard_normal(out=) draws the stream of standard_normal(shape)."""
-    z = rng.standard_normal(out=out).reshape(-1)
-    # redraw tails, in row-major order, so the multiplier stays within +-4 sigma
-    tails = np.flatnonzero((z < -TRUNCATION_SIGMAS) | (z > TRUNCATION_SIGMAS))
+def _tails(z: np.ndarray) -> np.ndarray:
+    """Mask of |z| > 4, without the float temporary of np.abs."""
+    return (z < -TRUNCATION_SIGMAS) | (z > TRUNCATION_SIGMAS)
+
+
+def _redraw_tails(rng, z: np.ndarray, tails: np.ndarray) -> None:
+    """Redraw the flat entries ``tails`` of ``z``, in row-major order, until
+    each lies within +-4, so the multiplier stays within +-4 sigma."""
     while tails.size:
         z[tails] = rng.standard_normal(tails.size)
         tails = tails[np.abs(z[tails]) > TRUNCATION_SIGMAS]
-    out *= sigma
+
+
+def _scale(z: np.ndarray, sigma: float, distribution: str) -> None:
+    """Standard normals -> multipliers, in place."""
+    z *= sigma
     if distribution == DIST_LOGNORMAL:
-        np.exp(out, out=out)  # median-1 multiplier
+        np.exp(z, out=z)  # median-1 multiplier
     else:
-        out += 1.0
+        z += 1.0
+
+
+def _multipliers(rng, sigma, out, distribution):
+    """Fill ``out`` in place; standard_normal(out=) draws the stream of standard_normal(shape)."""
+    z = rng.standard_normal(out=out).reshape(-1)
+    _redraw_tails(rng, z, np.flatnonzero(_tails(z)))
+    _scale(out, sigma, distribution)
 
 
 def draw_variation(
@@ -206,8 +222,14 @@ def _adc_codes(v: np.ndarray, adc: AdcSpec, out: np.ndarray | None = None) -> np
 
 def quantize(v: np.ndarray, adc: AdcSpec) -> np.ndarray:
     """Mid-tread ADC transfer: round(v / vref * levels), half up, clamped to
-    [0, levels], as int64 (a 0-d int for 0-d v).  Requires a concrete vref."""
-    return _adc_codes(v, adc).astype(np.int64)[()]
+    [0, levels], as int64 (a 0-d int for 0-d v).  Requires a concrete vref and
+    finite voltages."""
+    v = np.asarray(v)
+    finite = np.isfinite(v)
+    if not np.all(finite):
+        raise InvalidParameterError(f"voltages must be finite to quantize, got {v[~finite][0]}")
+    with np.errstate(over="ignore"):  # v / vref past the float range: clamped to full scale
+        return _adc_codes(v, adc).astype(np.int64)[()]
 
 
 def saturation_count(v: np.ndarray, vref: float) -> int:
@@ -271,25 +293,67 @@ def _trial(sample: VariationSample, k: int) -> VariationSample:
     return VariationSample(sample.gamma_mult[k], sample.gain_mult[k], sample.sensor_mult[k])
 
 
+def _draw_batch(var: VariationModel, kernel_shape, image_shape, seeds) -> list[np.ndarray]:
+    """draw_variation(var, kernel_shape, image_shape, seed) for each of
+    ``seeds``: the gamma, gain and, unless image_shape is None, sensor
+    multipliers, each shaped (trials, *shape), as views of one buffer.
+
+    standard_normal gives one stream however its calls are split, so one call
+    per trial draws what draw_variation's per-block calls draw, as long as no
+    tail is redrawn between blocks.  Tails are found once per batch.  Those of
+    the last drawn block are redrawn from the trial's own generator, as in
+    draw_variation; a trial with a tail in an earlier block (p ~ 1e-3 at 3x3
+    cells) is redrawn whole by draw_variation.  Each block is scaled once per
+    batch, and blocks after the last nonzero sigma are 1, undrawn."""
+    shapes = [kernel_shape, kernel_shape] + ([image_shape] if image_shape else [])
+    sigmas = [var.gamma_rel_sigma, var.gain_rel_sigma, var.sensor_rel_sigma][: len(shapes)]
+    sizes = [math.prod(shape) for shape in shapes]
+    buf = np.empty((len(seeds), sum(sizes)))
+    ends = np.cumsum(sizes).tolist()
+    views = [buf[:, end - size : end].reshape(len(seeds), *shape)  # no copy: rows stay rows
+             for size, end, shape in zip(sizes, ends, shapes)]
+    while sigmas and sigmas[-1] == 0:
+        sigmas.pop()
+    width = ends[len(sigmas) - 1] if sigmas else 0
+    buf[:, width:] = 1.0
+    if not sigmas:  # no generator: numpy.random stays unimported
+        return views
+    z, last = buf[:, :width], width - sizes[len(sigmas) - 1]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    for rng, row in zip(rngs, z):
+        rng.standard_normal(out=row)
+    # row-major, so each trial's tails in draw order; flat: 2-D np.nonzero is 10x slower
+    trials, cols = np.divmod(np.flatnonzero(_tails(z)), width)
+    whole = []
+    for k in dict.fromkeys(trials.tolist()):  # each once; np.unique would import numpy.ma
+        tails = cols[trials == k]
+        if tails[0] < last:
+            whole.append(k)
+        else:
+            _redraw_tails(rngs[k], z[k, last:], tails - last)
+    for sigma, view in zip(sigmas, views):
+        _scale(view, sigma, var.distribution)
+    for k in whole:  # after the batch is scaled: draw_variation scales its own draw
+        row = [view[k] for view in views] + [None] * (3 - len(views))  # None: no sensor
+        draw_variation(var, kernel_shape, image_shape, seeds[k], VariationSample(*row))
+    return views
+
+
 def _draw_samples(cfg: AnalogConfig, kernel_shape, image_shape, seeds):
     """Both scales' VariationSamples (one physical array, reprogrammed, unless
-    cfg.shared_array is off) for trials ``seeds``, drawn in place into arrays
-    stacked on a leading trial axis.  A second array has its own gamma and gain
-    but senses through the one sensor, so it draws no sensor multipliers; with
-    both its sigmas 0 it draws nothing and derives no seed."""
+    cfg.shared_array is off) for trials ``seeds``, stacked on a leading trial
+    axis by _draw_batch.  A second array has its own gamma and gain, in a
+    buffer of their own, drawn from each seed extended, but senses through the
+    one sensor; with both its sigmas 0 it draws nothing and derives no seed."""
     check_range("seed", min(seeds), at_least=0)  # numpy's generators take no negative seed
     var = cfg.variation
-    cells = (len(seeds), *kernel_shape)
-    sample1 = VariationSample(np.empty(cells), np.empty(cells), np.empty((len(seeds), *image_shape)))
-    sample2 = sample1 if cfg.shared_array else replace(sample1, gamma_mult=np.empty(cells),
-                                                       gain_mult=np.empty(cells))
-    for k, seed in enumerate(seeds):
-        draw_variation(var, kernel_shape, image_shape, seed, _trial(sample1, k))
-        if sample2 is not sample1:  # the second array: the same seed, extended, if it draws
-            seed2 = (int(np.random.SeedSequence([seed, 1]).generate_state(1)[0])
-                     if var.gamma_rel_sigma or var.gain_rel_sigma else seed)
-            draw_variation(var, kernel_shape, None, seed2, _trial(sample2, k))
-    return sample1, sample2
+    sample1 = VariationSample(*_draw_batch(var, kernel_shape, image_shape, seeds))
+    if cfg.shared_array:
+        return sample1, sample1
+    seeds2 = ([int(np.random.SeedSequence([seed, 1]).generate_state(1)[0]) for seed in seeds]
+              if var.gamma_rel_sigma or var.gain_rel_sigma else seeds)
+    gamma2, gain2 = _draw_batch(var, kernel_shape, None, seeds2)
+    return sample1, replace(sample1, gamma_mult=gamma2, gain_mult=gain2)
 
 
 def _analog_codes(image: IntensityImage, chain: _Chain, cfg: AnalogConfig,
@@ -422,8 +486,8 @@ def monte_carlo(
         seeds = [base_seed + t for t in trials]
         sample1, sample2 = _draw_samples(cfg, kshape, ishape, seeds)
         codes, err, _ = _analog_codes(image, chain, cfg, sample1, sample2)
-        for k, t in enumerate(trials):
-            maes[t] = err[k].mean()  # one contiguous trial: the per-frame summation order
+        # each trial one contiguous row: the per-frame summation order of err[k].mean()
+        maes[trials.start:trials.stop] = err.reshape(len(trials), -1).mean(axis=1)
         flips[trials.start:trials.stop] = (edge_map(codes) != nominal_edges).mean(axis=(1, 2))
     # the MAEs scaled by a power of two to a peak below 1 give the same bits,
     # but their sum and squares stay finite when the MAEs near the largest float

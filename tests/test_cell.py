@@ -197,6 +197,14 @@ class TestProgramKernel:
             with pytest.raises(InvalidGainError):
                 program_kernel(k, IDEAL)
 
+    def test_subnormal_largest_weight_rejected_by_name(self):
+        # 0.5 / 1e-320 overflows: the error read "gain inf exceeds the cell peak gain"
+        k = GaussianKernel(sigma=1.0, half_width=1, weights=np.full((3, 3), 1e-320))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="largest weight 1e-320 .subnormal."):
+                program_kernel(k, IDEAL)
+
     def test_center_bias_is_zero_or_one_rounding_step(self):
         # (1/2 / max(w)) * max(w) is 1/2 or 1/2 - 2**-54, whose bias is sqrt(2**-53 / gamma)
         centers = set()

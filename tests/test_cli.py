@@ -363,6 +363,15 @@ class TestPerf:
         assert run_cli(*argv, "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [("perf", "28", "28"), ("run",)], ids=["perf", "run"])
+    def test_figure_that_overflows_its_printed_unit_rejected(self, tmp_path, capsys, command):
+        # a 7.84e307 s runtime is finite, but it printed as "inf us"
+        out = tmp_path / "out"
+        assert run_cli(*command, "--settle-time", "1e305", "--out-dir", str(out)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "runtime_s 7.84e+307 in us must be finite" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_report_rejects_non_finite_figure(self, tmp_path):
         with pytest.raises(ValueError, match="not JSON compliant"):
             cli.write_json(tmp_path / "perf.json", {}, perf={"power_w": float("inf")})

@@ -1,9 +1,11 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from flexdog import pipeline
 from flexdog.cell import (
     MODEL_IDEAL,
     MODEL_SIGMOID,
@@ -122,8 +124,8 @@ class TestVariation:
         img = IntensityImage(np.random.default_rng(3).random((28, 28)))
         monte_carlo(img, K1, K2, AnalogConfig(variation=VariationModel(0.05, 0.05, 0.05)),
                     n_trials=2, base_seed=7)
-        assert sorted(normal_sizes)[-2:] == [28 * 28, 28 * 28]  # one per trial, none nominal
-        assert normal_sizes.count(28 * 28) == 2
+        # one call per trial covers gamma, gain and the image; the nominal pass draws none
+        assert [n for n in normal_sizes if n >= 28 * 28] == [2 * K1.weights.size + 28 * 28] * 2
 
     def test_draws_after_the_last_nonzero_sigma_are_skipped(self, normal_sizes):
         skipped = draw_variation(VariationModel(0.1), (3, 3), (8, 8), seed=5)
@@ -146,7 +148,8 @@ class TestVariation:
         cfg = AnalogConfig(variation=VariationModel(0.1, 0.2, 0.05, distribution),
                            shared_array=False)
         sample1, sample2 = _draw_samples(cfg, (3, 3), (64, 48), [5, 6])
-        assert normal_sizes.count(64 * 48) == 2  # one per trial, first array only
+        # one call per trial covers gamma, gain and the image, first array only
+        assert [n for n in normal_sizes if n >= 64 * 48] == [2 * 9 + 64 * 48] * 2
         assert sample2.sensor_mult is sample1.sensor_mult
         for k, seed in enumerate([5, 6]):
             # the second array's cells: the draw of a full sample from the extended seed
@@ -154,6 +157,56 @@ class TestVariation:
             full = draw_variation(cfg.variation, (3, 3), (64, 48), seed2)
             assert np.array_equal(sample2.gamma_mult[k], full.gamma_mult)
             assert np.array_equal(sample2.gain_mult[k], full.gain_mult)
+
+    @pytest.mark.parametrize("pattern", [(1, 1, 1), (0, 1, 1), (1, 0, 0), (0, 0, 1), (1, 1, 0)],
+                             ids=["sss", "0ss", "s00", "00s", "ss0"])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "split"])
+    @pytest.mark.parametrize("distribution", [DIST_TRUNCNORM, DIST_LOGNORMAL])
+    def test_batch_equals_per_trial_draws_with_tails(self, distribution, shared, pattern):
+        # 755 and 1312 hold a |z| > 4 in their first 18 normals, so with gamma or gain
+        # before the last drawn block they are redrawn whole; 384's extended seed does
+        # the same on a second array; 9 has sensor tails at 300 x 300
+        var = VariationModel(*(0.05 * on for on in pattern), distribution=distribution)
+        seeds = [755, 1312, 384, 9]
+        sample1, sample2 = _draw_samples(AnalogConfig(variation=var, shared_array=shared),
+                                         (3, 3), (300, 300), seeds)
+        for k, seed in enumerate(seeds):
+            full = draw_variation(var, (3, 3), (300, 300), seed)
+            assert np.array_equal(sample1.gamma_mult[k], full.gamma_mult)
+            assert np.array_equal(sample1.gain_mult[k], full.gain_mult)
+            assert np.array_equal(sample1.sensor_mult[k], full.sensor_mult)
+            seed2 = (int(np.random.SeedSequence([seed, 1]).generate_state(1)[0])
+                     if not shared and (pattern[0] or pattern[1]) else seed)
+            full2 = draw_variation(var, (3, 3), (300, 300), seed2)
+            assert np.array_equal(sample2.gamma_mult[k], full2.gamma_mult)
+            assert np.array_equal(sample2.gain_mult[k], full2.gain_mult)
+        assert sample2.sensor_mult is sample1.sensor_mult
+
+    def test_seeds_reach_both_tail_redraws(self, monkeypatch):
+        # the seeds of the test above: 755 and 1312 are redrawn whole, as is 384's
+        # extended seed on a second array; 9's sensor tails are redrawn in the batch
+        whole = []
+        redraw = pipeline.draw_variation
+        monkeypatch.setattr(pipeline, "draw_variation",
+                            lambda var, *args: whole.append(args[2]) or redraw(var, *args))
+        seeds = [755, 1312, 384, 9]
+        seed2 = int(np.random.SeedSequence([384, 1]).generate_state(1)[0])
+        _draw_samples(AnalogConfig(variation=VariationModel(0.05, 0.05, 0.05), shared_array=False),
+                      (3, 3), (300, 300), seeds)
+        assert whole == [755, 1312, seed2]
+        whole.clear()
+        _draw_samples(AnalogConfig(variation=VariationModel(0.05)), (3, 3), (300, 300), seeds)
+        assert whole == []  # gamma is the last drawn block: its tails are redrawn in the batch
+        z = np.random.default_rng(9).standard_normal(18 + 300 * 300)
+        assert np.count_nonzero(np.abs(z[:18]) > 4) == 0 and np.count_nonzero(np.abs(z) > 4) == 5
+
+    def test_batch_arrays_are_views_of_one_buffer(self):
+        cfg = AnalogConfig(variation=VariationModel(0.1, 0.2, 0.05), shared_array=False)
+        sample1, sample2 = _draw_samples(cfg, (3, 3), (8, 6), [5, 6, 7])
+        assert sample1.sensor_mult.base is sample1.gamma_mult.base is sample1.gain_mult.base
+        assert sample1.sensor_mult.base.shape == (3, 2 * 9 + 8 * 6)
+        assert sample2.gamma_mult.base is sample2.gain_mult.base
+        assert sample2.gamma_mult.base.shape == (3, 2 * 9)
 
     def test_split_arrays_with_zero_sigmas_leave_numpy_random_unloaded(self):
         # nothing is drawn for either array, so neither a generator nor a second seed is made
@@ -389,6 +442,21 @@ class TestVoltageAndAdc:
         x = v / adc.vref * adc.levels
         old = np.clip(np.sign(x) * np.floor(np.abs(x) + 0.5), 0, adc.levels).astype(np.int64)
         assert np.array_equal(quantize(v, adc), old)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_quantize_rejects_non_finite_voltage(self, bad):
+        # nan warned of an invalid cast and gave the int64 minimum as its code
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match=f"finite to quantize, got {bad}"):
+                quantize(np.array([0.5, bad]), AdcSpec(vref=1.0))
+
+    def test_quantize_voltage_past_the_float_range_saturates(self):
+        # v / vref overflowed with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes = quantize(np.array([1e300, -1e300]), AdcSpec(vref=1e-10))
+        assert codes.tolist() == [255, 0]
 
     @pytest.mark.parametrize("bits", [1, 8, 53])
     def test_float_codes_equal_quantize(self, bits):
