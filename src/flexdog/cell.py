@@ -122,8 +122,10 @@ def cell_factors(dv, params: CellParams, gamma_mult=1.0):
 def cell_response(i_in, dv, params: CellParams):
     """Output current of one cell; vectorized over i_in and/or dv."""
     i_in = np.asarray(i_in, dtype=np.float64)
-    if np.any(i_in < 0):
-        raise InvalidParameterError("input current must be nonnegative")
+    if not np.all((i_in >= 0) & (i_in < np.inf)):  # nan fails both
+        raise InvalidParameterError("input current must be nonnegative and finite")
+    if np.any(np.isnan(dv)):
+        raise InvalidParameterError("bias dV must not be nan")
     a, b = cell_factors(dv, params)
     out = i_in * a * b
     return out if out.ndim else float(out)

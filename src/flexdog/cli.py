@@ -462,7 +462,7 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as exc:
         print(f"flexdog: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigurationError, IndexError) as exc:
+    except ConfigurationError as exc:
         print(f"flexdog: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - map anything else to the invariant code

@@ -70,6 +70,8 @@ class GaussianKernel:
             raise DimensionError(
                 f"kernel weights must be {side}x{side} for half_width={self.half_width}"
             )
+        if not np.all(np.isfinite(weights)):
+            raise InvalidParameterError("kernel weights must be finite")
 
 
 @dataclass(frozen=True)
@@ -183,7 +185,11 @@ def dog(image: IntensityImage, k1: GaussianKernel, k2: GaussianKernel) -> DogIma
         )
     if k1.sigma >= k2.sigma:
         raise ConfigurationError(f"need sigma1 < sigma2, got {k1.sigma} >= {k2.sigma}")
-    values = correlate_valid(image.pixels, k1.weights - k2.weights)
+    with np.errstate(over="ignore"):  # an overflowing difference or sum fails the check
+        weights = k1.weights - k2.weights
+        # pixels lie in [0, 1], so this bounds every output and partial sum
+        check_range("sum |w1 - w2|", float(np.abs(weights).sum()))
+    values = correlate_valid(image.pixels, weights)
     return DogImage(values=values, sigma1=k1.sigma, sigma2=k2.sigma)
 
 

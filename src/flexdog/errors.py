@@ -30,15 +30,15 @@ class FormatError(ValueError):
     """A binary input file (IDX, PGM) is malformed."""
 
 
-def check_range(name: str, value, *, above=None, at_least=None, at_most=None) -> None:
-    """Raise InvalidParameterError unless ``value`` is finite, greater than
-    ``above``, at least ``at_least`` and at most ``at_most`` (each bound only
-    when given).  A Python int is always finite, however large."""
+def check_range(name: str, value, *, above=None, at_least=None, at_most=None):
+    """Return ``value`` if it is finite, greater than ``above``, at least
+    ``at_least`` and at most ``at_most`` (each bound only when given); else
+    raise InvalidParameterError.  A Python int is always finite, however large."""
     if ((isinstance(value, int) or math.isfinite(value))
             and (above is None or value > above)
             and (at_least is None or value >= at_least)
             and (at_most is None or value <= at_most)):
-        return
+        return value
     bounds = "".join(f" and {op} {bound}" for op, bound in
                      ((">", above), (">=", at_least), ("<=", at_most)) if bound is not None)
     raise InvalidParameterError(f"{name} must be finite{bounds}, got {value}")

@@ -30,7 +30,7 @@ def load_idx_image(path, index: int = 0) -> IntensityImage:
         if 16 + count * rows * cols > os.fstat(f.fileno()).st_size:
             raise FormatError(f"{path}: truncated IDX payload ({count} x {rows} x {cols} declared)")
         if not 0 <= index < count:
-            raise IndexError(f"image index {index} out of range (file holds {count})")
+            raise InvalidParameterError(f"image index {index} out of range (file holds {count})")
         f.seek(16 + index * rows * cols)
         payload = f.read(rows * cols)
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(rows, cols)

@@ -10,6 +10,7 @@ explicitly split out.  With all defaults and a 28x28 image this yields
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, asdict
 
 from .errors import DimensionError, InvalidParameterError, check_range
@@ -37,13 +38,16 @@ class PerfSpec:
             check_range(name, getattr(self, name), above=0)
         for name in ("node_count", "parallelism", "half_width"):
             check_range(name, getattr(self, name), at_least=1)
+        if self.node_count > sys.float_info.max:  # power would raise OverflowError
+            raise InvalidParameterError("node_count exceeds the float range")
         if self.pixel_count_mode not in (PIXELS_FULL, PIXELS_VALID):
             raise InvalidParameterError(f"unknown pixel count mode {self.pixel_count_mode!r}")
 
 
 def power(spec: PerfSpec) -> float:
     """P = U * I * n for one filter block."""
-    return spec.supply_v * spec.node_current * spec.node_count
+    # each factor is finite, but the product may overflow
+    return check_range("power_w", spec.supply_v * spec.node_current * spec.node_count)
 
 
 def _pixel_count(m: int, n: int, spec: PerfSpec) -> int:
@@ -59,16 +63,19 @@ def _pixel_count(m: int, n: int, spec: PerfSpec) -> int:
 
 def runtime(m: int, n: int, spec: PerfSpec) -> float:
     """Wall time of one Gaussian convolution over an m x n image."""
-    periods = math.ceil(_pixel_count(m, n, spec) / spec.parallelism)
+    pixels = _pixel_count(m, n, spec)
+    if pixels > sys.float_info.max:  # pixels / parallelism would raise OverflowError
+        raise InvalidParameterError(f"pixel count of a {m}x{n} image exceeds the float range")
+    periods = math.ceil(pixels / spec.parallelism)
     t = periods * spec.settle_time
     if spec.adc_separate:
         t += periods * spec.adc_time
-    return t
+    return check_range("runtime_s", t)
 
 
 def energy(m: int, n: int, spec: PerfSpec) -> float:
     """Per-convolution energy; the full DoG (two scales) costs twice this."""
-    return power(spec) * runtime(m, n, spec)
+    return check_range("energy_j", power(spec) * runtime(m, n, spec))
 
 
 def realtime_check(runtime_s: float) -> bool:

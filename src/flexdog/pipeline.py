@@ -65,7 +65,7 @@ class VariationModel:
 
 @dataclass(frozen=True)
 class VariationSample:
-    """One concrete draw of multiplicative device perturbations; monte_carlo
+    """One concrete draw of multiplicative device perturbations; the pipeline
     stacks trials' draws along a leading axis, as views of one buffer."""
 
     gamma_mult: np.ndarray  # kernel-shaped
@@ -138,36 +138,24 @@ def _scale(z: np.ndarray, sigma: float, distribution: str) -> None:
         z += 1.0
 
 
-def _multipliers(rng, sigma, out, distribution):
-    """Fill ``out`` in place; standard_normal(out=) draws the stream of standard_normal(shape)."""
-    z = rng.standard_normal(out=out).reshape(-1)
-    _redraw_tails(rng, z, np.flatnonzero(_tails(z)))
-    _scale(out, sigma, distribution)
-
-
-def draw_variation(
-    model: VariationModel,
-    kernel_shape: tuple[int, int],
-    image_shape: tuple[int, int] | None,
-    seed: int,
-    out: VariationSample | None = None,
-) -> VariationSample:
+def draw_variation(model: VariationModel, kernel_shape: tuple[int, int],
+                   image_shape: tuple[int, int], seed: int) -> VariationSample:
     """Seeded draw of all multipliers (numpy PCG64; draw order is fixed:
-    gamma, gain, sensor), into ``out``'s arrays if given.  1 + 0*z and exp(0*z)
-    are exactly 1, so draws after the last nonzero sigma are skipped, moving no
-    other value.  ``image_shape`` None leaves ``out``'s sensor as it is."""
-    if out is None:
-        if image_shape is None:
-            raise DimensionError("image_shape None needs out, whose sensor it leaves as it is")
-        out = VariationSample(np.empty(kernel_shape), np.empty(kernel_shape), np.empty(image_shape))
-    draws = [(model.gamma_rel_sigma, out.gamma_mult), (model.gain_rel_sigma, out.gain_mult),
-             (model.sensor_rel_sigma, out.sensor_mult)][: 2 if image_shape is None else 3]
+    gamma, gain, sensor).  1 + 0*z and exp(0*z) are exactly 1, so draws after
+    the last nonzero sigma are skipped, moving no other value."""
+    if image_shape is None:
+        raise DimensionError("draw_variation needs an image_shape")
+    sample = VariationSample(np.empty(kernel_shape), np.empty(kernel_shape), np.empty(image_shape))
+    draws = [(model.gamma_rel_sigma, sample.gamma_mult), (model.gain_rel_sigma, sample.gain_mult),
+             (model.sensor_rel_sigma, sample.sensor_mult)]
     while draws and draws[-1][0] == 0:
         draws.pop()[1].fill(1.0)
     rng = np.random.default_rng(seed) if draws else None  # none: numpy.random stays unimported
-    for sigma, values in draws:
-        _multipliers(rng, sigma, values, model.distribution)
-    return out
+    for sigma, values in draws:  # standard_normal(out=) draws the stream of standard_normal(shape)
+        z = rng.standard_normal(out=values).reshape(-1)
+        _redraw_tails(rng, z, np.flatnonzero(_tails(z)))
+        _scale(values, sigma, model.distribution)
+    return sample
 
 
 def sense(image: IntensityImage, i_in_nominal: float, sample: VariationSample,
@@ -289,14 +277,10 @@ def _program_chain(image: IntensityImage, k1: GaussianKernel, k2: GaussianKernel
     return _Chain(pk1, pk2, adc, s_ref / pk1.scale, s_ref / pk2.scale, oracle_codes)
 
 
-def _trial(sample: VariationSample, k: int) -> VariationSample:
-    return VariationSample(sample.gamma_mult[k], sample.gain_mult[k], sample.sensor_mult[k])
-
-
 def _draw_batch(var: VariationModel, kernel_shape, image_shape, seeds) -> list[np.ndarray]:
     """draw_variation(var, kernel_shape, image_shape, seed) for each of
-    ``seeds``: the gamma, gain and, unless image_shape is None, sensor
-    multipliers, each shaped (trials, *shape), as views of one buffer.
+    ``seeds``: the gamma, gain and sensor multipliers, each shaped
+    (trials, *shape), as views of one buffer.
 
     standard_normal gives one stream however its calls are split, so one call
     per trial draws what draw_variation's per-block calls draw, as long as no
@@ -305,8 +289,8 @@ def _draw_batch(var: VariationModel, kernel_shape, image_shape, seeds) -> list[n
     draw_variation; a trial with a tail in an earlier block (p ~ 1e-3 at 3x3
     cells) is redrawn whole by draw_variation.  Each block is scaled once per
     batch, and blocks after the last nonzero sigma are 1, undrawn."""
-    shapes = [kernel_shape, kernel_shape] + ([image_shape] if image_shape else [])
-    sigmas = [var.gamma_rel_sigma, var.gain_rel_sigma, var.sensor_rel_sigma][: len(shapes)]
+    shapes = [kernel_shape, kernel_shape, image_shape]
+    sigmas = [var.gamma_rel_sigma, var.gain_rel_sigma, var.sensor_rel_sigma]
     sizes = [math.prod(shape) for shape in shapes]
     buf = np.empty((len(seeds), sum(sizes)))
     ends = np.cumsum(sizes).tolist()
@@ -334,17 +318,18 @@ def _draw_batch(var: VariationModel, kernel_shape, image_shape, seeds) -> list[n
     for sigma, view in zip(sigmas, views):
         _scale(view, sigma, var.distribution)
     for k in whole:  # after the batch is scaled: draw_variation scales its own draw
-        row = [view[k] for view in views] + [None] * (3 - len(views))  # None: no sensor
-        draw_variation(var, kernel_shape, image_shape, seeds[k], VariationSample(*row))
+        sample = draw_variation(var, kernel_shape, image_shape, seeds[k])
+        for view, values in zip(views, (sample.gamma_mult, sample.gain_mult, sample.sensor_mult)):
+            view[k] = values
     return views
 
 
 def _draw_samples(cfg: AnalogConfig, kernel_shape, image_shape, seeds):
     """Both scales' VariationSamples (one physical array, reprogrammed, unless
     cfg.shared_array is off) for trials ``seeds``, stacked on a leading trial
-    axis by _draw_batch.  A second array has its own gamma and gain, in a
-    buffer of their own, drawn from each seed extended, but senses through the
-    one sensor; with both its sigmas 0 it draws nothing and derives no seed."""
+    axis by _draw_batch.  A second array draws its own gamma and gain through
+    the same layout, from each seed extended, with an empty sensor; it senses
+    through the one sensor.  With both its sigmas 0 it derives no seed."""
     check_range("seed", min(seeds), at_least=0)  # numpy's generators take no negative seed
     var = cfg.variation
     sample1 = VariationSample(*_draw_batch(var, kernel_shape, image_shape, seeds))
@@ -352,7 +337,7 @@ def _draw_samples(cfg: AnalogConfig, kernel_shape, image_shape, seeds):
         return sample1, sample1
     seeds2 = ([int(np.random.SeedSequence([seed, 1]).generate_state(1)[0]) for seed in seeds]
               if var.gamma_rel_sigma or var.gain_rel_sigma else seeds)
-    gamma2, gain2 = _draw_batch(var, kernel_shape, None, seeds2)
+    gamma2, gain2, _ = _draw_batch(replace(var, sensor_rel_sigma=0.0), kernel_shape, (0, 0), seeds2)
     return sample1, replace(sample1, gamma_mult=gamma2, gain_mult=gain2)
 
 
@@ -415,9 +400,8 @@ def run_dog_pipeline(
     in the report.
     """
     chain = _program_chain(image, k1, k2, cfg)
-    drawn = _draw_samples(cfg, chain.pk1.dv_grid.shape, image.pixels.shape, [seed])
-    sample1, sample2 = (_trial(sample, 0) for sample in drawn)
-    diff, err, sat = _analog_codes(image, chain, cfg, sample1, sample2, count_saturation=True)
+    sample1, sample2 = _draw_samples(cfg, chain.pk1.dv_grid.shape, image.pixels.shape, [seed])
+    (diff,), (err,), sat = _analog_codes(image, chain, cfg, sample1, sample2, count_saturation=True)
     if perf_spec is None:
         perf_spec = block_perf_spec(k1.half_width, cfg.cell_params.i_in_nominal,
                                     cfg.settle_time, chain.adc)

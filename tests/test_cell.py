@@ -49,6 +49,15 @@ class TestCellResponse:
         with pytest.raises(InvalidParameterError):
             cell_response(-1e-9, 0.0, IDEAL)
 
+    @pytest.mark.parametrize("i_in,dv", [(math.nan, 0.1), (math.inf, 0.1), (1e-7, math.nan),
+                                         (1e-7, np.array([0.1, math.nan]))],
+                             ids=["nan-current", "inf-current", "nan-bias", "nan-in-biases"])
+    @pytest.mark.parametrize("params", [IDEAL, SIGMOID], ids=["ideal", "sigmoid"])
+    def test_non_finite_current_or_nan_bias_rejected(self, params, i_in, dv):
+        # each returned nan or inf
+        with pytest.raises(InvalidParameterError):
+            cell_response(i_in, dv, params)
+
     @pytest.mark.parametrize("params", [IDEAL, SIGMOID])
     def test_even_in_dv(self, params):
         dv = np.linspace(0.01, 2.0, 40)
@@ -189,9 +198,8 @@ class TestProgramKernel:
 
     @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
     def test_nonpositive_weights_rejected(self, bad):
-        w = np.full((3, 3), 0.3)
-        w[0, 1] = bad
-        k = GaussianKernel(sigma=1.0, half_width=1, weights=w)
+        k = GaussianKernel(sigma=1.0, half_width=1, weights=np.full((3, 3), 0.3))
+        k.weights[0, 1] = bad  # after the kernel's own finite check: its array stays writable
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidGainError):

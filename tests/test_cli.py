@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from flexdog import cli, errors
-from flexdog.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from flexdog.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_IO, EXIT_OK, main
 from flexdog.imageio import read_pgm
 from golden_cases import cli as cli_outputs
 
@@ -91,6 +91,13 @@ class TestRun:
                        "--out-dir", str(out)) == EXIT_OK
         inp = read_pgm(out / "input.pgm")
         assert set(np.unique(np.rint(inp.pixels * 255))) <= {0.0, 255.0}  # binarized
+
+    def test_idx_index_beyond_the_file_is_config_error(self, tmp_path, capsys):
+        idx = tmp_path / "digits.idx"
+        idx.write_bytes(struct.pack(">iiii", 2051, 2, 28, 28) + bytes(2 * 28 * 28))
+        assert run_cli("run", "--input", str(idx), "--index", "2",
+                       "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
+        assert "index 2 out of range" in capsys.readouterr().err
 
     def test_config_file_with_cli_override(self, tmp_path):
         cfg = tmp_path / "settings.cfg"
@@ -354,6 +361,15 @@ class TestPerf:
         assert run_cli("perf", "0", "28", "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [(str(10**200), str(10**200)),
+                                      ("28", "28", "--half-width", str(10**200))],
+                             ids=["pixels", "nodes"])
+    def test_count_beyond_the_float_range_is_config_error(self, tmp_path, capsys, argv):
+        # 1e400 pixels, or a block of 4e400 nodes, exited 3 on a bare OverflowError
+        assert run_cli("perf", *argv, "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
+        assert "exceeds the float range" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ("perf", "28", "28", "--supply", "1e300", "--i-in", "1e300"),  # power overflows
         ("run", "--supply", "1e300", "--i-in", "1e10"),
@@ -395,6 +411,16 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_perf", raise_it)
         want = EXIT_IO if error is errors.FormatError else EXIT_CONFIG
         assert run_cli("perf", "28", "28", "--out-dir", str(tmp_path / "out")) == want
+
+
+    def test_internal_index_error_is_internal(self, tmp_path, monkeypatch):
+        # an out-of-range index inside the program is a fault, not a bad setting
+        def out_of_range(*args):
+            raise IndexError("index 3 is out of bounds")
+
+        monkeypatch.setattr(cli, "codes_to_gray", out_of_range)
+        assert run_cli("run", "--input", "pattern:step",
+                       "--out-dir", str(tmp_path / "out")) == EXIT_INTERNAL
 
 
 def run_python(code):

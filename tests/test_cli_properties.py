@@ -1,15 +1,20 @@
 """Property test of the command line over random settings.
 
 Every subcommand, given random settings from the settings table, exits 0 or
-with its documented error code, never 3 (an internal error).  Tier-1 turns
-warnings into errors, so an overflow that only warns exits 3 here.  Sizes
-stay small: built-in patterns, at most 3 trials, 301 sweep points and a
-half-width of 14.
+with its documented error code, never 3 (an internal error).  Every number it
+prints and every JSON or CSV artifact it writes is finite: JSON is read with
+no NaN or Infinity constant.  Tier-1 turns warnings into errors, so an
+overflow that only warns exits 3 here.  Sizes stay small: built-in patterns,
+at most 3 trials, 301 sweep points and a half-width of 14.
 """
 
 import contextlib
+import csv
 import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,10 +86,37 @@ def out_dir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("cli"))
 
 
+def _no_constant(name):
+    raise ValueError(f"JSON constant {name}")
+
+
+def assert_finite(value, where):
+    try:
+        number = float(value)
+    except ValueError:
+        return
+    assert math.isfinite(number), f"{value} in {where}"
+
+
+def assert_finite_outputs(out_dir, stdout):
+    """Every number on stdout and in the JSON and CSV artifacts is finite."""
+    for token in stdout.split():
+        assert_finite(token.rstrip(",:"), "stdout")
+    for path in Path(out_dir).glob("*.json"):
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
+    for path in Path(out_dir).glob("*.csv"):
+        with open(path, newline="", encoding="utf-8") as f:
+            for row in csv.reader(f):
+                for cell in row:
+                    assert_finite(cell, path.name)
+
+
 @CLI_SETTINGS
 @given(command_line())
 def test_every_command_line_exits_0_or_2(out_dir, argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main([*argv, "--out-dir", out_dir])
-    assert code in (EXIT_OK, EXIT_CONFIG), err.getvalue()
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory(dir=out_dir) as run_dir:  # this run's artifacts only
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--out-dir", run_dir])
+        assert code in (EXIT_OK, EXIT_CONFIG), err.getvalue()
+        assert_finite_outputs(run_dir, out.getvalue())

@@ -215,6 +215,17 @@ class TestDog:
         with pytest.raises(ConfigurationError):
             dog(img, make_gaussian_kernel(1.2, 1), make_gaussian_kernel(0.85, 1))
 
+    @pytest.mark.parametrize("w2", [0.1, -1e308], ids=["sum", "difference"])
+    def test_pair_whose_output_bound_overflows_rejected(self, w2):
+        # the oracle's add (or the weights' subtract) overflowed with a RuntimeWarning
+        img = IntensityImage(np.ones((5, 5)))
+        k1 = GaussianKernel(0.85, 1, np.full((3, 3), 1e308))
+        with pytest.raises(InvalidParameterError, match=r"sum \|w1 - w2\| must be finite"):
+            dog(img, k1, GaussianKernel(1.2, 1, np.full((3, 3), w2)))
+        near = dog(img, GaussianKernel(0.85, 1, np.full((3, 3), 1e307)),
+                   GaussianKernel(1.2, 1, np.zeros((3, 3))))
+        assert np.allclose(near.values, 9e307, rtol=1e-15)
+
 
 def instrumented_convolve(pixels, weights):
     """Naive convolution that literally counts multiply and add events."""
@@ -300,6 +311,13 @@ class TestTypes:
     def test_kernel_shape_checked(self):
         with pytest.raises(DimensionError):
             GaussianKernel(sigma=1.0, half_width=2, weights=np.ones((3, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_kernel_weights_finite_checked(self, bad):
+        weights = np.full((3, 3), 0.1)
+        weights[1, 2] = bad
+        with pytest.raises(InvalidParameterError, match="kernel weights must be finite"):
+            GaussianKernel(sigma=0.85, half_width=1, weights=weights)
 
     def test_op_count_nonnegative(self):
         with pytest.raises(InvalidParameterError):

@@ -53,7 +53,7 @@ class TestIdx:
     def test_index_out_of_range(self, tmp_path):
         path = tmp_path / "images.idx"
         write_idx(path, np.zeros((2, 4, 4), dtype=np.uint8))
-        with pytest.raises(IndexError):
+        with pytest.raises(InvalidParameterError, match="index 2 out of range"):
             load_idx_image(path, 2)
 
     def test_truncated_payload(self, tmp_path):
@@ -147,7 +147,7 @@ class TestPgm:
 def _unit_intensities_or_format_error(read):
     try:
         image = read()
-    except (FormatError, IndexError):
+    except (FormatError, InvalidParameterError):
         return
     assert 0.0 <= image.pixels.min() and image.pixels.max() <= 1.0
 
@@ -162,8 +162,8 @@ def raster_path(tmp_path_factory):
 
 class TestArbitraryRasters:
     """Well-formed headers over arbitrary raster bytes: a reader returns
-    intensities in [0, 1] or raises FormatError (or IndexError for an IDX
-    image index beyond the file), never anything else."""
+    intensities in [0, 1] or raises FormatError (or InvalidParameterError for
+    an IDX image index beyond the file), never anything else."""
 
     @RASTER_SETTINGS
     @given(width=st.integers(1, 6), height=st.integers(1, 6), maxval=st.integers(1, 255),

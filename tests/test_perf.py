@@ -24,9 +24,19 @@ class TestPower:
         with pytest.raises(InvalidParameterError):
             PerfSpec(node_count=0)
 
+    def test_node_count_beyond_the_float_range_rejected_by_spec(self):
+        # power raised a bare OverflowError
+        with pytest.raises(InvalidParameterError, match="node_count exceeds the float range"):
+            PerfSpec(node_count=10**400)
+
     def test_5x5_kernel(self):
         spec = PerfSpec(node_count=25)
         assert power(spec) == pytest.approx(8.25e-6, rel=1e-12)
+
+    def test_overflowing_product_rejected_by_name(self):
+        # it returned inf
+        with pytest.raises(InvalidParameterError, match="^power_w must be finite"):
+            power(PerfSpec(supply_v=1e300, node_current=1e300))
 
 
 class TestRuntime:
@@ -60,6 +70,20 @@ class TestRuntime:
         with pytest.raises(DimensionError):
             runtime(0, 10, DEFAULTS)
 
+    @pytest.mark.parametrize("spec", [PerfSpec(settle_time=1e306),
+                                      PerfSpec(adc_time=1e306, adc_separate=True)],
+                             ids=["settling", "adc"])
+    def test_overflowing_product_rejected_by_name(self, spec):
+        # it returned inf
+        with pytest.raises(InvalidParameterError, match="^runtime_s must be finite"):
+            runtime(28, 28, spec)
+
+    def test_pixel_count_beyond_the_float_range_rejected(self):
+        # 1e400 / 1 pixels raised a bare OverflowError
+        with pytest.raises(InvalidParameterError, match="exceeds the float range"):
+            runtime(10**200, 10**200, DEFAULTS)
+        assert runtime(10**150, 10**150, DEFAULTS) == pytest.approx(5e293, rel=1e-15)
+
 
 class TestEnergy:
     def test_paper_figure(self):
@@ -74,6 +98,15 @@ class TestEnergy:
     def test_linear_in_node_current(self):
         doubled = PerfSpec(node_current=200e-9)
         assert energy(28, 28, doubled) == 2 * energy(28, 28, DEFAULTS)
+
+    @pytest.mark.parametrize("spec,figure", [
+        (PerfSpec(settle_time=1e306), "runtime_s"),
+        (PerfSpec(supply_v=1e300, settle_time=1e12), "energy_j"),  # both factors finite
+    ], ids=["runtime", "product"])
+    def test_overflowing_product_rejected_by_name(self, spec, figure):
+        # each returned inf
+        with pytest.raises(InvalidParameterError, match=f"^{figure} must be finite"):
+            energy(28, 28, spec)
 
 
 class TestRealtime:

@@ -96,9 +96,9 @@ class TestVariation:
         assert np.all(s.gamma_mult > 0)
         assert np.all(s.sensor_mult > 0)
 
-    def test_no_image_shape_without_out_rejected(self):
+    def test_no_image_shape_rejected(self):
         # it raised numpy's bare TypeError from np.empty(None)
-        with pytest.raises(DimensionError, match="image_shape None needs out"):
+        with pytest.raises(DimensionError, match="needs an image_shape"):
             draw_variation(VariationModel(0.1), (3, 3), None, seed=0)
 
     def test_negative_sigma_rejected(self):
