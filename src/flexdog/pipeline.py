@@ -7,9 +7,9 @@ its input current by one effective weight, its transfer ratio times its gain.
 The digital subtraction compensates the differing global programming scales of
 the two kernels before differencing, and every run is reproducible from its
 seed: trial t of a Monte Carlo sweep draws from base_seed + t alone, whatever
-batch it runs in.  draw_variation is the per-trial reference draw; a batch
-draws each trial's multipliers with one call and scales them once per batch,
-to the same bits.
+batch it runs in.  Each trial draws its multipliers with one call, replaces
+its tails from a stream of its own and is scaled once per batch;
+draw_variation is a batch of one trial.
 """
 
 from __future__ import annotations
@@ -116,46 +116,13 @@ class CodeFrame:
     oracle: np.ndarray
 
 
-def _tails(z: np.ndarray) -> np.ndarray:
-    """Mask of |z| > 4, without the float temporary of np.abs."""
-    return (z < -TRUNCATION_SIGMAS) | (z > TRUNCATION_SIGMAS)
-
-
-def _redraw_tails(rng, z: np.ndarray, tails: np.ndarray) -> None:
-    """Redraw the flat entries ``tails`` of ``z``, in row-major order, until
-    each lies within +-4, so the multiplier stays within +-4 sigma."""
-    while tails.size:
-        z[tails] = rng.standard_normal(tails.size)
-        tails = tails[np.abs(z[tails]) > TRUNCATION_SIGMAS]
-
-
-def _scale(z: np.ndarray, sigma: float, distribution: str) -> None:
-    """Standard normals -> multipliers, in place."""
-    z *= sigma
-    if distribution == DIST_LOGNORMAL:
-        np.exp(z, out=z)  # median-1 multiplier
-    else:
-        z += 1.0
-
-
 def draw_variation(model: VariationModel, kernel_shape: tuple[int, int],
                    image_shape: tuple[int, int], seed: int) -> VariationSample:
-    """Seeded draw of all multipliers (numpy PCG64; draw order is fixed:
-    gamma, gain, sensor).  1 + 0*z and exp(0*z) are exactly 1, so draws after
-    the last nonzero sigma are skipped, moving no other value."""
+    """Seeded draw of all multipliers: one trial of _draw_batch."""
     if image_shape is None:
         raise DimensionError("draw_variation needs an image_shape")
-    sample = VariationSample(np.empty(kernel_shape), np.empty(kernel_shape), np.empty(image_shape))
-    draws = [(model.gamma_rel_sigma, sample.gamma_mult), (model.gain_rel_sigma, sample.gain_mult),
-             (model.sensor_rel_sigma, sample.sensor_mult)]
-    while draws and draws[-1][0] == 0:
-        draws.pop()[1].fill(1.0)
-    rng = np.random.default_rng(seed) if draws else None  # none: numpy.random stays unimported
-    for sigma, values in draws:  # standard_normal(out=) draws the stream of standard_normal(shape)
-        z = rng.standard_normal(out=values).reshape(-1)
-        _redraw_tails(rng, z, np.flatnonzero(_tails(z)))
-        _scale(values, sigma, model.distribution)
-    return sample
+    return VariationSample(*(view[0] for view in _draw_batch(model, kernel_shape, image_shape,
+                                                             [seed])))
 
 
 def sense(image: IntensityImage, i_in_nominal: float, sample: VariationSample,
@@ -278,17 +245,17 @@ def _program_chain(image: IntensityImage, k1: GaussianKernel, k2: GaussianKernel
 
 
 def _draw_batch(var: VariationModel, kernel_shape, image_shape, seeds) -> list[np.ndarray]:
-    """draw_variation(var, kernel_shape, image_shape, seed) for each of
-    ``seeds``: the gamma, gain and sensor multipliers, each shaped
+    """The gamma, gain and sensor multipliers of trials ``seeds``, each shaped
     (trials, *shape), as views of one buffer.
 
-    standard_normal gives one stream however its calls are split, so one call
-    per trial draws what draw_variation's per-block calls draw, as long as no
-    tail is redrawn between blocks.  Tails are found once per batch.  Those of
-    the last drawn block are redrawn from the trial's own generator, as in
-    draw_variation; a trial with a tail in an earlier block (p ~ 1e-3 at 3x3
-    cells) is redrawn whole by draw_variation.  Each block is scaled once per
-    batch, and blocks after the last nonzero sigma are 1, undrawn."""
+    For seed s, default_rng(s) fills the blocks up to the last nonzero sigma
+    with one standard_normal stream (numpy PCG64; order gamma, gain, sensor).
+    Each |z| > 4 is then replaced, in row-major order, by the next value
+    within +-4 of default_rng([s, 2])'s stream, made only for a trial with a
+    tail, so a replacement never moves the main stream and each multiplier
+    stays within +-4 sigma.  1 + 0*z and exp(0*z) are exactly 1, so blocks
+    after the last nonzero sigma are 1, undrawn, moving no other value.  Each
+    block is scaled once per batch."""
     shapes = [kernel_shape, kernel_shape, image_shape]
     sigmas = [var.gamma_rel_sigma, var.gain_rel_sigma, var.sensor_rel_sigma]
     sizes = [math.prod(shape) for shape in shapes]
@@ -302,25 +269,23 @@ def _draw_batch(var: VariationModel, kernel_shape, image_shape, seeds) -> list[n
     buf[:, width:] = 1.0
     if not sigmas:  # no generator: numpy.random stays unimported
         return views
-    z, last = buf[:, :width], width - sizes[len(sigmas) - 1]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    for rng, row in zip(rngs, z):
-        rng.standard_normal(out=row)
+    z = buf[:, :width]
+    for seed, row in zip(seeds, z):
+        np.random.default_rng(seed).standard_normal(out=row)
     # row-major, so each trial's tails in draw order; flat: 2-D np.nonzero is 10x slower
-    trials, cols = np.divmod(np.flatnonzero(_tails(z)), width)
-    whole = []
+    trials, cols = np.divmod(np.flatnonzero((z < -TRUNCATION_SIGMAS) | (z > TRUNCATION_SIGMAS)),
+                             width)
     for k in dict.fromkeys(trials.tolist()):  # each once; np.unique would import numpy.ma
         tails = cols[trials == k]
-        if tails[0] < last:
-            whole.append(k)
-        else:
-            _redraw_tails(rngs[k], z[k, last:], tails - last)
+        stream = iter(np.random.default_rng([seeds[k], 2]).standard_normal, None)
+        z[k, tails] = np.fromiter((v for v in stream if abs(v) <= TRUNCATION_SIGMAS), float,
+                                  tails.size)
     for sigma, view in zip(sigmas, views):
-        _scale(view, sigma, var.distribution)
-    for k in whole:  # after the batch is scaled: draw_variation scales its own draw
-        sample = draw_variation(var, kernel_shape, image_shape, seeds[k])
-        for view, values in zip(views, (sample.gamma_mult, sample.gain_mult, sample.sensor_mult)):
-            view[k] = values
+        view *= sigma
+        if var.distribution == DIST_LOGNORMAL:
+            np.exp(view, out=view)  # median-1 multiplier
+        else:
+            view += 1.0
     return views
 
 

@@ -43,6 +43,9 @@ from golden_cases import CONFIGS, config, kernels
 from test_cli import run_python
 
 K1, K2 = kernels()
+# seeds with a |z| > 4 before their last drawn block: 755 and 1312 among gamma and gain,
+# 384 in its second array's
+TAIL_SEEDS = (755, 1312, 384)
 
 
 def no_variation_sample(image_shape, kernel_shape=(3, 3)):
@@ -63,11 +66,40 @@ def normal_sizes(monkeypatch):
             return getattr(self.rng, name)
 
         def standard_normal(self, size=None, out=None):
-            sizes.append(math.prod(np.shape(out) if out is not None else np.atleast_1d(size)))
+            sizes.append(math.prod(np.shape(out if out is not None else size)))  # () counts 1
             return self.rng.standard_normal(size, out=out)
 
     monkeypatch.setattr(np.random, "default_rng", Recording)
     return sizes
+
+
+def reference_draw(var, kernel_shape, image_shape, seed):
+    """The draw rule, one trial at a time: one stream over the blocks up to the
+    last nonzero sigma, each |z| > 4 then replaced in order by the next value
+    within +-4 of the tail stream, then scaling; later blocks are 1."""
+    shapes = [kernel_shape, kernel_shape, image_shape]
+    sigmas = [var.gamma_rel_sigma, var.gain_rel_sigma, var.sensor_rel_sigma]
+    drawn = max((k + 1 for k, sigma in enumerate(sigmas) if sigma), default=0)
+    ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+    z = np.random.default_rng(seed).standard_normal(ends[drawn - 1] if drawn else 0)
+    tail_stream = np.random.default_rng([seed, 2])
+    for i in np.flatnonzero(np.abs(z) > 4):
+        z[i] = tail_stream.standard_normal()
+        while abs(z[i]) > 4:
+            z[i] = tail_stream.standard_normal()
+    blocks = []
+    for k, (shape, end) in enumerate(zip(shapes, ends)):
+        if k >= drawn:
+            blocks.append(np.ones(shape))
+            continue
+        values = sigmas[k] * z[end - math.prod(shape) : end].reshape(shape)
+        blocks.append(np.exp(values) if var.distribution == DIST_LOGNORMAL else 1.0 + values)
+    return VariationSample(*blocks)
+
+
+def extended_seed(seed):
+    """The seed of a split configuration's second array."""
+    return int(np.random.SeedSequence([seed, 1]).generate_state(1)[0])
 
 
 class TestVariation:
@@ -107,13 +139,17 @@ class TestVariation:
 
     @pytest.mark.parametrize("distribution", [DIST_TRUNCNORM, DIST_LOGNORMAL])
     def test_zero_sensor_sigma_skips_the_image_sized_draw(self, normal_sizes, distribution):
-        skipped = draw_variation(VariationModel(0.1, 0.2, 0.0, distribution), (3, 3), (64, 48), 5)
-        assert normal_sizes and max(normal_sizes) < 64 * 48
-        # the sensor is the last draw, so skipping it moves no other value
-        drawn = draw_variation(VariationModel(0.1, 0.2, 0.05, distribution), (3, 3), (64, 48), 5)
-        assert np.array_equal(skipped.gamma_mult, drawn.gamma_mult)
-        assert np.array_equal(skipped.gain_mult, drawn.gain_mult)
-        assert np.all(skipped.sensor_mult == 1.0)
+        for seed in (5, *TAIL_SEEDS):
+            normal_sizes.clear()
+            skipped = draw_variation(VariationModel(0.1, 0.2, 0.0, distribution), (3, 3), (64, 48),
+                                     seed)
+            assert normal_sizes and max(normal_sizes) < 64 * 48
+            # the sensor is the last draw, so skipping it moves no other value
+            drawn = draw_variation(VariationModel(0.1, 0.2, 0.05, distribution), (3, 3), (64, 48),
+                                   seed)
+            assert np.array_equal(skipped.gamma_mult, drawn.gamma_mult)
+            assert np.array_equal(skipped.gain_mult, drawn.gain_mult)
+            assert np.all(skipped.sensor_mult == 1.0)
 
     def test_zero_sensor_sigma_frame_makes_no_image_sized_draw(self, normal_sizes):
         img = IntensityImage(np.random.default_rng(3).random((512, 512)))
@@ -128,11 +164,13 @@ class TestVariation:
         assert [n for n in normal_sizes if n >= 28 * 28] == [2 * K1.weights.size + 28 * 28] * 2
 
     def test_draws_after_the_last_nonzero_sigma_are_skipped(self, normal_sizes):
-        skipped = draw_variation(VariationModel(0.1), (3, 3), (8, 8), seed=5)
-        assert normal_sizes == [9]  # gamma only
-        drawn = draw_variation(VariationModel(0.1, 0.2, 0.05), (3, 3), (8, 8), seed=5)
-        assert np.array_equal(skipped.gamma_mult, drawn.gamma_mult)
-        assert np.all(skipped.gain_mult == 1.0) and np.all(skipped.sensor_mult == 1.0)
+        for seed in (5, *TAIL_SEEDS):
+            normal_sizes.clear()
+            skipped = draw_variation(VariationModel(0.1), (3, 3), (8, 8), seed)
+            assert normal_sizes[0] == 9 and set(normal_sizes[1:]) <= {1}  # gamma, then its tails
+            drawn = draw_variation(VariationModel(0.1, 0.2, 0.05), (3, 3), (8, 8), seed)
+            assert np.array_equal(skipped.gamma_mult, drawn.gamma_mult)
+            assert np.all(skipped.gain_mult == 1.0) and np.all(skipped.sensor_mult == 1.0)
 
     def test_all_zero_sigmas_make_no_generator(self, monkeypatch):
         def no_generator(seed):
@@ -147,14 +185,14 @@ class TestVariation:
             self, normal_sizes, distribution):
         cfg = AnalogConfig(variation=VariationModel(0.1, 0.2, 0.05, distribution),
                            shared_array=False)
-        sample1, sample2 = _draw_samples(cfg, (3, 3), (64, 48), [5, 6])
+        seeds = [5, 6, *TAIL_SEEDS]
+        sample1, sample2 = _draw_samples(cfg, (3, 3), (64, 48), seeds)
         # one call per trial covers gamma, gain and the image, first array only
-        assert [n for n in normal_sizes if n >= 64 * 48] == [2 * 9 + 64 * 48] * 2
+        assert [n for n in normal_sizes if n >= 64 * 48] == [2 * 9 + 64 * 48] * len(seeds)
         assert sample2.sensor_mult is sample1.sensor_mult
-        for k, seed in enumerate([5, 6]):
+        for k, seed in enumerate(seeds):
             # the second array's cells: the draw of a full sample from the extended seed
-            seed2 = int(np.random.SeedSequence([seed, 1]).generate_state(1)[0])
-            full = draw_variation(cfg.variation, (3, 3), (64, 48), seed2)
+            full = draw_variation(cfg.variation, (3, 3), (64, 48), extended_seed(seed))
             assert np.array_equal(sample2.gamma_mult[k], full.gamma_mult)
             assert np.array_equal(sample2.gain_mult[k], full.gain_mult)
 
@@ -163,40 +201,30 @@ class TestVariation:
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "split"])
     @pytest.mark.parametrize("distribution", [DIST_TRUNCNORM, DIST_LOGNORMAL])
     def test_batch_equals_per_trial_draws_with_tails(self, distribution, shared, pattern):
-        # 755 and 1312 hold a |z| > 4 in their first 18 normals, so with gamma or gain
-        # before the last drawn block they are redrawn whole; 384's extended seed does
-        # the same on a second array; 9 has sensor tails at 300 x 300
         var = VariationModel(*(0.05 * on for on in pattern), distribution=distribution)
-        seeds = [755, 1312, 384, 9]
+        seeds = [*TAIL_SEEDS, 9]
         sample1, sample2 = _draw_samples(AnalogConfig(variation=var, shared_array=shared),
                                          (3, 3), (300, 300), seeds)
         for k, seed in enumerate(seeds):
-            full = draw_variation(var, (3, 3), (300, 300), seed)
+            full = reference_draw(var, (3, 3), (300, 300), seed)
             assert np.array_equal(sample1.gamma_mult[k], full.gamma_mult)
             assert np.array_equal(sample1.gain_mult[k], full.gain_mult)
             assert np.array_equal(sample1.sensor_mult[k], full.sensor_mult)
-            seed2 = (int(np.random.SeedSequence([seed, 1]).generate_state(1)[0])
-                     if not shared and (pattern[0] or pattern[1]) else seed)
-            full2 = draw_variation(var, (3, 3), (300, 300), seed2)
+            one = draw_variation(var, (3, 3), (300, 300), seed)
+            assert all(np.array_equal(a, b) for a, b in zip(
+                (one.gamma_mult, one.gain_mult, one.sensor_mult),
+                (full.gamma_mult, full.gain_mult, full.sensor_mult)))
+            seed2 = extended_seed(seed) if not shared and (pattern[0] or pattern[1]) else seed
+            full2 = reference_draw(var, (3, 3), (300, 300), seed2)
             assert np.array_equal(sample2.gamma_mult[k], full2.gamma_mult)
             assert np.array_equal(sample2.gain_mult[k], full2.gain_mult)
         assert sample2.sensor_mult is sample1.sensor_mult
 
-    def test_seeds_reach_both_tail_redraws(self, monkeypatch):
-        # the seeds of the test above: 755 and 1312 are redrawn whole, as is 384's
-        # extended seed on a second array; 9's sensor tails are redrawn in the batch
-        whole = []
-        redraw = pipeline.draw_variation
-        monkeypatch.setattr(pipeline, "draw_variation",
-                            lambda var, *args: whole.append(args[2]) or redraw(var, *args))
-        seeds = [755, 1312, 384, 9]
-        seed2 = int(np.random.SeedSequence([384, 1]).generate_state(1)[0])
-        _draw_samples(AnalogConfig(variation=VariationModel(0.05, 0.05, 0.05), shared_array=False),
-                      (3, 3), (300, 300), seeds)
-        assert whole == [755, 1312, seed2]
-        whole.clear()
-        _draw_samples(AnalogConfig(variation=VariationModel(0.05)), (3, 3), (300, 300), seeds)
-        assert whole == []  # gamma is the last drawn block: its tails are redrawn in the batch
+    def test_seeds_hold_tails_before_the_last_drawn_block(self):
+        # the seeds of the tests above: 755 and 1312 hold a |z| > 4 among their 18 gamma and
+        # gain normals, as does 384's extended seed; 9 holds its tails in a 300 x 300 sensor
+        for seed in (755, 1312, extended_seed(384)):
+            assert np.any(np.abs(np.random.default_rng(seed).standard_normal(18)) > 4)
         z = np.random.default_rng(9).standard_normal(18 + 300 * 300)
         assert np.count_nonzero(np.abs(z[:18]) > 4) == 0 and np.count_nonzero(np.abs(z) > 4) == 5
 

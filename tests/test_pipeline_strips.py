@@ -2,9 +2,9 @@
 
 One pinned digest per case of the ``strips`` and ``strips-mc`` corpora, which
 ``golden_cases`` builds and describes.  The digests were last regenerated when
-the oracle became one correlation with w1 - w2; the code frames inside are
-still those of the full-frame implementation that preceded the strip scan (ADC
-mode) and of the first to apply one effective weight per cell (bypass).
+variation tails came to be replaced from a per-trial tail stream, which moved
+codes of every case; the oracles inside are those of the one correlation with
+w1 - w2.
 ``correlate_valid`` is checked against direct per-output references on shapes
 that put one row, or part of one strip, or leading trial axes through the
 strip loop.
@@ -78,39 +78,39 @@ def test_correlate_valid_matches_per_output_reference(pixel_shape, weight_shape)
     np.testing.assert_allclose(got, np.sum(taps, axis=-1), rtol=1e-13, atol=0)
 
 
-GOLDEN_MC = "fb60da63a2b90a7ddd3caf7ebbd1f61d7f2faeeac4f505d31732bc52306c2244"
+GOLDEN_MC = "beca3a9cf833d3c98c0fba35c2884a53aab20cce171a9c5dd195b2053b89a596"
 
 GOLDEN = {
-    "1031x61-ideal-shared-adc-P1": "5071bff554c746525b0559a6318c64622aee8e39bb1f1f1957b8d720a0d96651",
-    "1031x61-ideal-shared-adc-P2": "99f4644c65e0ee9e29ed2af75eb54eb0b2eb93ebfce6fe7c05ff049d0aa0a7cc",
-    "1031x61-ideal-shared-bypass-P1": "7ec2f5014fbceec07a5e82e74aceacf84f9f1b03a9e6b171c22da5b2eab92eea",
-    "1031x61-ideal-shared-bypass-P2": "11a610f71934a96bbaf7199994b7e6f61fcd66edbb3839aed5f726b3ceb354ad",
-    "1031x61-ideal-split-adc-P1": "d5739d4e38c4dd388d19edc87b5e7aed45b9b174c6dc947123a94fcd67a44a0d",
-    "1031x61-ideal-split-adc-P2": "a160bc4e4d861d00dc9aa59591406d883684114579298083dc92fee77fa5e11e",
-    "1031x61-ideal-split-bypass-P1": "76eccd86ed77d21705132928d744b02bcd47c6bb614436472a14b74e20542cc4",
-    "1031x61-ideal-split-bypass-P2": "cd610012c20eba45b0a799710b59aa1699332b90321443fda9b20b3c24c88e49",
-    "1031x61-sigmoid-shared-adc-P1": "f557ea10f85f7edd39ac0ca231dff72737ce91564af8b6e6e4dfef96b5d76420",
-    "1031x61-sigmoid-shared-adc-P2": "56186ef016ed54f1f3fe487bb4e1bd10a99bc821fa4b6dff04348656ee243bd9",
-    "1031x61-sigmoid-shared-bypass-P1": "9bfbfbd289ae8423a3341ed0a5160d3b4ea24e435090e7ff0af10cca060bcf60",
-    "1031x61-sigmoid-shared-bypass-P2": "eb111a176c8df67ee42cc709c491c685edfd9486be79df5e3fb51c99c025ac9b",
-    "1031x61-sigmoid-split-adc-P1": "9ab35190a2ece0963b1c9152d830b184cabf1285a72703a49c47b882f52fb125",
-    "1031x61-sigmoid-split-adc-P2": "000f007c1a87b15583a3edaf88f0ea22d51e86a17d33266a6867bf190611c6b1",
-    "1031x61-sigmoid-split-bypass-P1": "0b9f5c58e23d4edfac806b5a2a6683b9caba8724e855032972a8132adf5c2774",
-    "1031x61-sigmoid-split-bypass-P2": "855b970d1ebec54d4eaf94ad44195f82ccd0fcaf1e0a31898217a7bdd4293de7",
-    "257x1031-ideal-shared-adc-P1": "5407c6b79afb16a65581fc1b312db3b620ca8c7a1f56d50795badfe901354f2b",
-    "257x1031-ideal-shared-adc-P2": "513620e509ddc57039fc72ab48dd475cf48f89212389939540ff11007532127d",
-    "257x1031-ideal-shared-bypass-P1": "899dd3d8420f136f2242714e285d2be2ae5306176d2407a646109a65caeecaf0",
-    "257x1031-ideal-shared-bypass-P2": "67374118c2a4147cf79b9fdb829e90acd883e927e1ffde3ddea487ab2bbbfffe",
-    "257x1031-ideal-split-adc-P1": "91d209c63999025e555f45d38bd93761e29b6bbd81faadebff9833464e95d682",
-    "257x1031-ideal-split-adc-P2": "79c9df3b6dd03b05b74f6d333e8b5c6f51cdb65092133bcd13de6babdda49451",
-    "257x1031-ideal-split-bypass-P1": "6c18dac02c91c7fbeb2009dcf8d56905d32ea4953b2189daf423ca23549179d6",
-    "257x1031-ideal-split-bypass-P2": "a2b28eefbdd1a29248c9ba96ee15633fb547a399dde17341a2497dd7143b3051",
-    "257x1031-sigmoid-shared-adc-P1": "3faf39dfcdb7c6c03f46b7025205d2feb0593888ecbf434b48997c859e398a88",
-    "257x1031-sigmoid-shared-adc-P2": "171b8988981f0c403e04e14c9337d4b047bcab2dfb48ee2ef328640013a115e5",
-    "257x1031-sigmoid-shared-bypass-P1": "c5b9c3ec850bf22214aee4d5b9125f3ebf556802cf708b53213f93054e6fabef",
-    "257x1031-sigmoid-shared-bypass-P2": "8cb1d1c4cc391b6ec3830427a1119fc35a34bd51b1694b15c4a92db9e7e55247",
-    "257x1031-sigmoid-split-adc-P1": "0db27f1ac6b5501592a934f8dc3e27211cf2d345fd4ffabde5d15a1717c7f7c8",
-    "257x1031-sigmoid-split-adc-P2": "3d8cc0398d779992dd1b0af0cb5f04bc8bd71f6e105c58827051e307ee25c5f1",
-    "257x1031-sigmoid-split-bypass-P1": "ea5cf85f0258294dbe56f7f72cd811a2bec3e041ebf3d49e3e2dfdabf529ce1e",
-    "257x1031-sigmoid-split-bypass-P2": "7056ec3d2abff341b94677e9b021becda19eedbad316c6ade21d7a5e47f80a5e",
+    "1031x61-ideal-shared-adc-P1": "e5fe72f1c93ef97b6bcd7f27da776d93c0c02c75cf19754f54e8ca92c1fab6ab",
+    "1031x61-ideal-shared-adc-P2": "5dc0074c36729fe67b76e9773ca0b0dd150c9c5e5dac0bc63fe8af68828f5917",
+    "1031x61-ideal-shared-bypass-P1": "04e62e3a83340dda0cb25e564b2f4d25778b98e3fb9af6b53dd3d6f67f83c306",
+    "1031x61-ideal-shared-bypass-P2": "335b96f5f98a75824409fb9865ca9c61a4504720d605da0d41bb1218a582b8af",
+    "1031x61-ideal-split-adc-P1": "6ce40fe355b3978b2d130c45e249bc4d202675f8ead92002451c18f9d23163ab",
+    "1031x61-ideal-split-adc-P2": "89d369bbb359f79c19733ea5aad1d4bd89b5f5c251c6480855d088fd8603c680",
+    "1031x61-ideal-split-bypass-P1": "c84e9af25dc8ef4eac77b9a309b4bf00565960546b2c4f1835bc21e5f63da7e1",
+    "1031x61-ideal-split-bypass-P2": "b9b98a8f54731f4c161dd101c0e1c0627af28cdcb25a933a3711ff59d6e082f0",
+    "1031x61-sigmoid-shared-adc-P1": "90f1391448040492a974d1b9900bc586226fdfe2406ae2f7df053635aff40898",
+    "1031x61-sigmoid-shared-adc-P2": "8727c292c3e6b07ca777c6bbc5319333c104e2912cc44081556e609a95b6c18e",
+    "1031x61-sigmoid-shared-bypass-P1": "4719396306e17bcbf1df220a779a1249f3efd473bdaa8eb84b34e9cf6a4ce515",
+    "1031x61-sigmoid-shared-bypass-P2": "9b7234101576f964c7afa9f3bc79744b890e415349095e4bf37281e4c3fd92b5",
+    "1031x61-sigmoid-split-adc-P1": "4f1fe0b8666774ca1cb473e35467594ab4d2dd89390fad297f54cd4cae9aa7d5",
+    "1031x61-sigmoid-split-adc-P2": "c72bd342d808a9f2ff99616915ae3bd4268163d40f8ae1d107b39d167f933d3b",
+    "1031x61-sigmoid-split-bypass-P1": "7c7ffb3c41324c33c1417a59450b6e35a3b659e65d0bb3ceefb784409d6a0019",
+    "1031x61-sigmoid-split-bypass-P2": "84209a437d00a592993253ac142b8db2bdab8286bc15ee2d365d823f6b5f9be0",
+    "257x1031-ideal-shared-adc-P1": "afcc7f186d3e001cfff89ae9354bea7087d93e16e0cd60008c22b5627aa40b02",
+    "257x1031-ideal-shared-adc-P2": "22917eb2eddc3709af6ad26fc6038c5836776e854bd3b8cdb0b8daa8c9127ede",
+    "257x1031-ideal-shared-bypass-P1": "ca49e3df15bf9b13b7fe648e4d36d8e23c26734969dc1609308c9f4408283def",
+    "257x1031-ideal-shared-bypass-P2": "c431cd2a20bfdcedb668098aa2245df81b8d024587b22b2a50ba2bb1d7f9e9e4",
+    "257x1031-ideal-split-adc-P1": "1cc106c31fc2759a494e50f8c31ebb45707607f58ea7efe40901e3e1d8a34d4e",
+    "257x1031-ideal-split-adc-P2": "ba17891b77af104ad4c58c178542ab883e6829423ac027c3ca4e0aa2abaf462b",
+    "257x1031-ideal-split-bypass-P1": "3258d71c359a46ed3ba32f6b661725b0ee2e9d8f5fe9e7363c53be6cccac1840",
+    "257x1031-ideal-split-bypass-P2": "c8425b6f2e82fdc6e89080a21d865e9b2eaf910daeb2a7dfe72d1f6ad1a58b41",
+    "257x1031-sigmoid-shared-adc-P1": "e34e11b65837eb21d69d6916a10c1ff314946f72d502f3b1184b9f246e162b90",
+    "257x1031-sigmoid-shared-adc-P2": "bb7f671a4ead31193e8f146cabd4bb2f69c312193919506b86eec561986c5001",
+    "257x1031-sigmoid-shared-bypass-P1": "0f86b35433c9d5a7777d69e812577329459626ae633b493706d8a335a2e568f2",
+    "257x1031-sigmoid-shared-bypass-P2": "c156f1f677ca2f92cc8936d98e6e256bc2e132d578b9b3879c849041ea5e64ac",
+    "257x1031-sigmoid-split-adc-P1": "431b46103858600a8d77fdb9583beabefa1e7ddd944cd2a45c8ad99e86814262",
+    "257x1031-sigmoid-split-adc-P2": "6c27c396d701c6392dc8b45b96def6564b2569e3c47a0278d621cf1d2be9f235",
+    "257x1031-sigmoid-split-bypass-P1": "5085529d813ee296bf4b98dce2fef7c950e3877aff2264f9bcd2f371b4004224",
+    "257x1031-sigmoid-split-bypass-P2": "3f01ad9e2c01a6b213f1166885652cec5c944021ad3ac647d7c545a497ea80fc",
 }
