@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dog import GaussianKernel
-from .errors import InvalidGainError, InvalidParameterError, UnachievableGainError, check_range
+from .errors import (DimensionError, InvalidGainError, InvalidParameterError,
+                     UnachievableGainError, check_range)
 
 MODEL_IDEAL = "ideal-exponential"
 MODEL_SIGMOID = "sigmoid-product"
@@ -127,7 +128,11 @@ def cell_response(i_in, dv, params: CellParams):
     if np.any(np.isnan(dv)):
         raise InvalidParameterError("bias dV must not be nan")
     a, b = cell_factors(dv, params)
-    out = i_in * a * b
+    try:
+        out = i_in * a * b
+    except ValueError:  # shapes that do not broadcast
+        raise DimensionError(f"input currents of shape {i_in.shape} and biases of shape "
+                             f"{np.shape(dv)} do not broadcast") from None
     return out if out.ndim else float(out)
 
 
@@ -233,11 +238,12 @@ def sweep_deviation(
 def deviation_report(lo, hi, reference, dv, i_out, ref) -> DeviationReport:
     """DeviationReport of sweep_curves' (dv, i_out, ref) over [lo, hi]."""
     deviation = np.abs(i_out - ref)
+    exponent = math.frexp(float(deviation.max()))[1]  # scaled to a peak below 1: a finite sum
     return DeviationReport(
         sweep_lo=lo,
         sweep_hi=hi,
         n_points=len(dv),
-        avg_abs_deviation=float(deviation.mean()),
+        avg_abs_deviation=float(np.ldexp(np.ldexp(deviation, -exponent).mean(), exponent)),
         max_abs_deviation=float(deviation.max()),
         reference=reference,
         extrapolated=bool(lo < -VALIDITY_WINDOW_V or hi > VALIDITY_WINDOW_V),

@@ -231,9 +231,8 @@ def build_kernels(s: dict, image: IntensityImage):
     if 2 * p + 1 > min(image.height, image.width):
         raise DimensionError(f"kernel (P={p}) does not fit inside a "
                              f"{image.height}x{image.width} image")
-    k1 = make_gaussian_kernel(s["sigma1"], p, normalize=True)
-    k2 = make_gaussian_kernel(s["sigma1"] * s["sigma_ratio"], p, normalize=True)
-    return k1, k2
+    return (make_gaussian_kernel(s["sigma1"], p, normalize=True),
+            make_gaussian_kernel(s["sigma1"] * s["sigma_ratio"], p, normalize=True))
 
 
 def load_input(s: dict) -> IntensityImage:
@@ -337,23 +336,15 @@ def cmd_montecarlo(args) -> int:
 
     out = output_dir(s)
     csv_path = out / "montecarlo.csv"
-    rows = []
-    aggregates = []
+    rows, aggregates = [], []
     for level in levels:
-        level_settings = dict(s)
-        level_settings[sweep_key] = level
-        cfg = build_analog_config(level_settings)
+        cfg = build_analog_config({**s, sweep_key: level})
         summary = monte_carlo(image, k1, k2, cfg, args.trials, s["seed"])
         for t in range(args.trials):
             rows.append([level, t, s["seed"] + t,
                          summary.per_trial_mae[t], summary.per_trial_flip_rate[t]])
-        aggregates.append({
-            "level": level,
-            "mean_mae": summary.mean_mae,
-            "std_mae": summary.std_mae,
-            "max_mae": summary.max_mae,
-            "mean_flip_rate": summary.mean_flip_rate,
-        })
+        aggregates.append({"level": level, **{key: getattr(summary, key) for key in
+                                              ("mean_mae", "std_mae", "max_mae", "mean_flip_rate")}})
     with open(csv_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["level", "trial", "seed", "mean_abs_error_code", "flip_rate"])
@@ -373,6 +364,8 @@ def cmd_deviation(args) -> int:
     dv, i_out, ref = sweep_curves(params, args.sweep_lo, args.sweep_hi, args.points,
                                   args.reference)
     report = deviation_report(args.sweep_lo, args.sweep_hi, args.reference, dv, i_out, ref)
+    avg_na, max_na = (check_range(f"deviation {a} A in nA", a * 1e9)  # checked before any output
+                      for a in (report.avg_abs_deviation, report.max_abs_deviation))
 
     out = output_dir(s)
     csv_path = out / "deviation.csv"
@@ -392,8 +385,8 @@ def cmd_deviation(args) -> int:
         "extrapolated": report.extrapolated,
     }, artifacts={"csv": str(csv_path)})
 
-    print(f"average deviation {report.avg_abs_deviation * 1e9:.4f} nA")
-    print(f"max deviation     {report.max_abs_deviation * 1e9:.4f} nA")
+    print(f"average deviation {avg_na:.4f} nA")
+    print(f"max deviation     {max_na:.4f} nA")
     if report.extrapolated:
         print("warning: sweep leaves the characterized +-1.3 V window", file=sys.stderr)
     return EXIT_OK

@@ -72,6 +72,7 @@ class GaussianKernel:
             )
         if not np.all(np.isfinite(weights)):
             raise InvalidParameterError("kernel weights must be finite")
+        check_range("kernel sigma", self.sigma, above=0)
 
 
 @dataclass(frozen=True)
@@ -166,6 +167,8 @@ def convolve_valid(image: IntensityImage, kernel: GaussianKernel) -> FilteredIma
     Implemented as correlation; identical to convolution here because the
     kernel is centrally symmetric (asserted by tests, not at runtime).
     """
+    with np.errstate(over="ignore"):  # pixels lie in [0, 1], so this bounds every output
+        check_range("sum |w|", float(np.abs(kernel.weights).sum()))
     values = correlate_valid(image.pixels, kernel.weights)
     return FilteredImage(values=values, sigma=kernel.sigma)
 

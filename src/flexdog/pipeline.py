@@ -121,8 +121,8 @@ def draw_variation(model: VariationModel, kernel_shape: tuple[int, int],
     """Seeded draw of all multipliers: one trial of _draw_batch."""
     if image_shape is None:
         raise DimensionError("draw_variation needs an image_shape")
-    return VariationSample(*(view[0] for view in _draw_batch(model, kernel_shape, image_shape,
-                                                             [seed])))
+    views = _draw_batch(model, kernel_shape, image_shape, [seed])
+    return VariationSample(*(view[0] for view in views))
 
 
 def sense(image: IntensityImage, i_in_nominal: float, sample: VariationSample,
@@ -159,7 +159,12 @@ def analog_convolve(currents: np.ndarray, pk: ProgrammedKernel, sample: Variatio
 
 def to_voltage(currents: np.ndarray, transimpedance: float) -> np.ndarray:
     check_range("transimpedance", transimpedance, above=0)
-    return currents * transimpedance
+    try:
+        with np.errstate(over="raise"):  # no extra pass: the multiply itself flags it
+            return np.multiply(currents, transimpedance)
+    except FloatingPointError:
+        raise InvalidParameterError(
+            f"voltages of currents times transimpedance {transimpedance} overflow") from None
 
 
 def _adc_codes(v: np.ndarray, adc: AdcSpec, out: np.ndarray | None = None) -> np.ndarray:
@@ -277,7 +282,7 @@ def _draw_batch(var: VariationModel, kernel_shape, image_shape, seeds) -> list[n
                              width)
     for k in dict.fromkeys(trials.tolist()):  # each once; np.unique would import numpy.ma
         tails = cols[trials == k]
-        stream = iter(np.random.default_rng([seeds[k], 2]).standard_normal, None)
+        stream = iter(np.random.default_rng([seeds[k], 2]).standard_normal, None)  # endless
         z[k, tails] = np.fromiter((v for v in stream if abs(v) <= TRUNCATION_SIGMAS), float,
                                   tails.size)
     for sigma, view in zip(sigmas, views):

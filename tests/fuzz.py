@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/fuzz.py [--examples N] [--seed S]
 
-Tier-1 runs the command-line and pipeline properties over fixed, derandomized
+Tier-1 runs the command-line, pipeline and API properties over fixed, derandomized
 examples.  This draws N fresh examples of each property from seed S (default:
 a random seed, printed first, so a run can be repeated), with warnings turned
 into errors as in tier-1.  It does not stop or shrink at a failure: each
@@ -19,6 +19,7 @@ import warnings
 
 from hypothesis import HealthCheck, Phase, given, seed, settings, strategies as st
 
+import test_api_properties as api_properties
 import test_cli_properties as cli_properties
 import test_pipeline_properties as pipeline_properties
 
@@ -31,6 +32,8 @@ PROPERTIES = [  # name, test, its strategies, whether it takes an output directo
     ("monte_carlo",
      pipeline_properties.test_monte_carlo_raises_a_configuration_error_or_returns_finite_rates,
      (pipeline_properties.pipeline_case(), st.integers(2, 3)), False),
+    ("api", api_properties.test_every_exported_name_returns_finite_values_or_raises_a_typed_error,
+     (api_properties.api_calls(),), False),
 ]
 
 

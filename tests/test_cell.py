@@ -22,6 +22,7 @@ from flexdog.cell import (
 from flexdog.dog import DEFAULT_SIGMA_RATIO, GaussianKernel, make_gaussian_kernel
 from flexdog.errors import (
     ConfigurationError,
+    DimensionError,
     InvalidGainError,
     InvalidParameterError,
     UnachievableGainError,
@@ -118,6 +119,12 @@ class TestCellResponse:
         assert cell_response(3.0 * 1e-7, dv, params) == pytest.approx(
             3.0 * cell_response(1e-7, dv, params), rel=1e-15
         )
+
+    def test_currents_and_biases_that_do_not_broadcast_rejected(self):
+        # numpy's bare ValueError got through
+        with pytest.raises(DimensionError, match=r"shape \(2,\) and biases of shape \(3,\)"):
+            cell_response(np.full(2, 1e-7), np.zeros(3), IDEAL)
+        assert cell_response(np.full((2, 1), 1e-7), np.zeros(3), IDEAL).shape == (2, 3)
 
 
 class TestWeightToDv:
@@ -351,6 +358,13 @@ class TestSweepDeviation:
     def test_extrapolation_flagged(self):
         r = sweep_deviation(IDEAL, -2.0, 2.0, 11, reference="eq4-gaussian")
         assert r.extrapolated
+
+    @pytest.mark.parametrize("reference", ["fitted-gaussian", "eq4-gaussian"])
+    def test_average_of_deviations_near_the_largest_float_is_finite(self, reference):
+        # their sum overflowed, with a warning, to an infinite average
+        params = CellParams(i_in_nominal=1e308, model_kind=MODEL_SIGMOID)
+        r = sweep_deviation(params, reference=reference)
+        assert 0.0 < r.avg_abs_deviation <= r.max_abs_deviation < math.inf
 
 
 class TestCalibration:

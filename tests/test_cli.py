@@ -388,6 +388,15 @@ class TestPerf:
         assert "runtime_s 7.84e+307 in us must be finite" in captured.err
         assert captured.out == "" and not out.exists()
 
+    def test_deviation_that_overflows_nanoamperes_rejected(self, tmp_path, capsys):
+        # its average overflowed to inf (exit 3); once finite in A, it printed as "inf nA"
+        out = tmp_path / "out"
+        assert run_cli("deviation", "--i-in", "1e308", "--model", "sigmoid-product",
+                       "--out-dir", str(out)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "A in nA must be finite" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_report_rejects_non_finite_figure(self, tmp_path):
         with pytest.raises(ValueError, match="not JSON compliant"):
             cli.write_json(tmp_path / "perf.json", {}, perf={"power_w": float("inf")})

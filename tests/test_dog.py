@@ -122,6 +122,14 @@ class TestConvolveValid:
         with pytest.raises(DimensionError):
             convolve_valid(img, k)
 
+    def test_kernel_whose_output_bound_overflows_rejected(self):
+        # the correlation's add overflowed with a RuntimeWarning
+        img = IntensityImage(np.ones((5, 5)))
+        with pytest.raises(InvalidParameterError, match=r"sum \|w\| must be finite"):
+            convolve_valid(img, GaussianKernel(1.0, 1, np.full((3, 3), 1e308)))
+        near = convolve_valid(img, GaussianKernel(1.0, 1, np.full((3, 3), 1e307)))
+        assert np.allclose(near.values, 9e307, rtol=1e-15)
+
     def test_linearity(self):
         rng = np.random.default_rng(11)
         i1, i2 = rng.random((14, 14)), rng.random((14, 14))
@@ -311,6 +319,12 @@ class TestTypes:
     def test_kernel_shape_checked(self):
         with pytest.raises(DimensionError):
             GaussianKernel(sigma=1.0, half_width=2, weights=np.ones((3, 3)))
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -0.85])
+    def test_kernel_sigma_checked(self, sigma):
+        # a nan sigma passed dog()'s order check and came back in its output
+        with pytest.raises(InvalidParameterError, match="kernel sigma must be finite and > 0"):
+            GaussianKernel(sigma=sigma, half_width=1, weights=np.full((3, 3), 0.1))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_kernel_weights_finite_checked(self, bad):

@@ -97,6 +97,28 @@ def reference_draw(var, kernel_shape, image_shape, seed):
     return VariationSample(*blocks)
 
 
+def truncated_moments(distribution, sigma):
+    """Mean and std of the multiplier 1 + sigma z or exp(sigma z), z a standard
+    normal truncated to +-4."""
+    def cdf(x):
+        return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+    mass = cdf(4.0) - cdf(-4.0)
+    if distribution == DIST_TRUNCNORM:
+        return 1.0, sigma * math.sqrt(1.0 - 8.0 * math.exp(-8.0) / math.sqrt(2 * math.pi) / mass)
+
+    def moment(a):  # E[exp(a z)]
+        return math.exp(a * a / 2.0) * (cdf(4.0 - a) - cdf(-4.0 - a)) / mass
+
+    return moment(sigma), math.sqrt(moment(2.0 * sigma) - moment(sigma) ** 2)
+
+
+def four_sigma_bounds(distribution, sigma):
+    """The multipliers of z = -4 and 4, scaled as the draw scales them."""
+    z = np.array([-4.0, 4.0]) * sigma
+    return np.exp(z) if distribution == DIST_LOGNORMAL else z + 1.0
+
+
 def extended_seed(seed):
     """The seed of a split configuration's second array."""
     return int(np.random.SeedSequence([seed, 1]).generate_state(1)[0])
@@ -219,6 +241,32 @@ class TestVariation:
             assert np.array_equal(sample2.gamma_mult[k], full2.gamma_mult)
             assert np.array_equal(sample2.gain_mult[k], full2.gain_mult)
         assert sample2.sensor_mult is sample1.sensor_mult
+
+    @pytest.mark.parametrize("distribution", [DIST_TRUNCNORM, DIST_LOGNORMAL])
+    def test_multipliers_follow_the_truncated_distribution(self, distribution):
+        n, sigma = 10_000, 0.05
+        m = draw_variation(VariationModel(sigma, distribution=distribution), (100, 100), (1, 1),
+                           seed=0).gamma_mult
+        mean, std = truncated_moments(distribution, sigma)
+        assert abs(m.mean() - mean) < 3 * std / math.sqrt(n)
+        assert abs(m.std(ddof=1) - std) < 3 * std / math.sqrt(2 * (n - 1))
+        lo, hi = four_sigma_bounds(distribution, sigma)
+        assert np.all((m >= lo) & (m <= hi))
+
+    @pytest.mark.parametrize("distribution", [DIST_TRUNCNORM, DIST_LOGNORMAL])
+    def test_every_replaced_tail_lies_within_four_sigma(self, distribution):
+        # 500 x 500 cells and a 1000 x 1000 sensor hold tails in every block (p = 6.3e-5 each)
+        sigma = 0.05
+        sample = draw_variation(VariationModel(sigma, sigma, sigma, distribution), (500, 500),
+                                (1000, 1000), seed=0)
+        z = np.random.default_rng(0).standard_normal(2 * 500 * 500 + 1000 * 1000)
+        lo, hi = four_sigma_bounds(distribution, sigma)
+        end = 0
+        for m in (sample.gamma_mult, sample.gain_mult, sample.sensor_mult):
+            tails = np.abs(z[end : end + m.size]) > 4
+            end += m.size
+            replaced = m.reshape(-1)[tails]
+            assert replaced.size and np.all((replaced >= lo) & (replaced <= hi))
 
     def test_seeds_hold_tails_before_the_last_drawn_block(self):
         # the seeds of the tests above: 755 and 1312 hold a |z| > 4 among their 18 gamma and
@@ -452,6 +500,12 @@ class TestVoltageAndAdc:
         frame = np.array([[1e-9, 3e-9]])
         doubled = 2 * frame
         assert np.array_equal(to_voltage(doubled, 5e6), 2 * to_voltage(frame, 5e6))
+
+    def test_voltage_past_the_float_range_rejected(self):
+        # it raised a RuntimeWarning (overflow in multiply) under -W error
+        with pytest.raises(InvalidParameterError, match="transimpedance 1e"):
+            to_voltage(np.array([1e300]), 1e300)
+        assert to_voltage(np.array([1e7]), 1e300)[0] == pytest.approx(1e307)  # in range: kept
 
     def test_quantize_endpoints(self):
         adc = AdcSpec(bits=8, vref=1.0)
