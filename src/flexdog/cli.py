@@ -343,8 +343,8 @@ def cmd_montecarlo(args) -> int:
         for t in range(args.trials):
             rows.append([level, t, s["seed"] + t,
                          summary.per_trial_mae[t], summary.per_trial_flip_rate[t]])
-        aggregates.append({"level": level, **{key: getattr(summary, key) for key in
-                                              ("mean_mae", "std_mae", "max_mae", "mean_flip_rate")}})
+        aggregates.append({"level": level, **{key: getattr(summary, key) for key in (
+            "mean_mae", "std_mae", "max_mae", "mean_flip_rate")}})
     with open(csv_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["level", "trial", "seed", "mean_abs_error_code", "flip_rate"])

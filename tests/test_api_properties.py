@@ -11,6 +11,7 @@ stay small: images of at most 12 x 12, half-widths of at most 3, 3 trials and
 """
 
 import dataclasses
+import inspect
 import math
 from typing import NamedTuple
 
@@ -26,8 +27,8 @@ from flexdog.pipeline import DIST_LOGNORMAL, DIST_TRUNCNORM
 from test_pipeline_properties import positive
 
 API_SETTINGS = settings(max_examples=12, derandomize=True, database=None, deadline=None)
-EXPORTED = sorted(name for name in vars(flexdog)
-                  if not name.startswith("_") and not isinstance(vars(flexdog)[name], type(flexdog)))
+EXPORTED = sorted(name for name, value in vars(flexdog).items()
+                  if not name.startswith("_") and not inspect.ismodule(value))
 MAKERS = {name: getattr(flexdog, name) for name in EXPORTED}
 MAKERS.update(GaussianKernel=GaussianKernel, SigmoidProductParams=SigmoidProductParams)
 EDGES = st.sampled_from([5e-324, 1e-160, 1e154, 1e308])
