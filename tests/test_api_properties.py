@@ -6,7 +6,7 @@ and non-finite values; integers past the float range; images, kernels with
 arbitrary weights, and cell, variation, ADC, analog and perf specs, each
 built field by field.  Under warnings-as-errors, every call returns finite
 values or raises a ``ConfigurationError`` or ``FormatError`` subclass.  Sizes
-stay small: images of at most 12 x 12, half-widths of at most 3, 3 trials and
+stay small: images of at most 12 x 12, half-widths of at most 4, 3 trials and
 64 sweep points.
 """
 
