@@ -16,7 +16,7 @@ import numpy as np
 
 from .dog import GaussianKernel
 from .errors import (DimensionError, InvalidGainError, InvalidParameterError,
-                     UnachievableGainError, check_range)
+                     UnachievableGainError, check_range, scaled_stat)
 
 MODEL_IDEAL = "ideal-exponential"
 MODEL_SIGMOID = "sigmoid-product"
@@ -238,12 +238,11 @@ def sweep_deviation(
 def deviation_report(lo, hi, reference, dv, i_out, ref) -> DeviationReport:
     """DeviationReport of sweep_curves' (dv, i_out, ref) over [lo, hi]."""
     deviation = np.abs(i_out - ref)
-    exponent = math.frexp(float(deviation.max()))[1]  # scaled to a peak below 1: a finite sum
     return DeviationReport(
         sweep_lo=lo,
         sweep_hi=hi,
         n_points=len(dv),
-        avg_abs_deviation=float(np.ldexp(np.ldexp(deviation, -exponent).mean(), exponent)),
+        avg_abs_deviation=scaled_stat(np.mean, deviation),
         max_abs_deviation=float(deviation.max()),
         reference=reference,
         extrapolated=bool(lo < -VALIDITY_WINDOW_V or hi > VALIDITY_WINDOW_V),

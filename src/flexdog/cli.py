@@ -231,8 +231,9 @@ def build_kernels(s: dict, image: IntensityImage):
     if 2 * p + 1 > min(image.height, image.width):
         raise DimensionError(f"kernel (P={p}) does not fit inside a "
                              f"{image.height}x{image.width} image")
-    return (make_gaussian_kernel(s["sigma1"], p, normalize=True),
-            make_gaussian_kernel(s["sigma1"] * s["sigma_ratio"], p, normalize=True))
+    k1 = make_gaussian_kernel(s["sigma1"], p, normalize=True)
+    k2 = make_gaussian_kernel(s["sigma1"] * s["sigma_ratio"], p, normalize=True)
+    return k1, k2
 
 
 def load_input(s: dict) -> IntensityImage:
@@ -336,15 +337,23 @@ def cmd_montecarlo(args) -> int:
 
     out = output_dir(s)
     csv_path = out / "montecarlo.csv"
-    rows, aggregates = [], []
+    rows = []
+    aggregates = []
     for level in levels:
-        cfg = build_analog_config({**s, sweep_key: level})
+        level_settings = dict(s)
+        level_settings[sweep_key] = level
+        cfg = build_analog_config(level_settings)
         summary = monte_carlo(image, k1, k2, cfg, args.trials, s["seed"])
         for t in range(args.trials):
             rows.append([level, t, s["seed"] + t,
                          summary.per_trial_mae[t], summary.per_trial_flip_rate[t]])
-        aggregates.append({"level": level, **{key: getattr(summary, key) for key in (
-            "mean_mae", "std_mae", "max_mae", "mean_flip_rate")}})
+        aggregates.append({
+            "level": level,
+            "mean_mae": summary.mean_mae,
+            "std_mae": summary.std_mae,
+            "max_mae": summary.max_mae,
+            "mean_flip_rate": summary.mean_flip_rate,
+        })
     with open(csv_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["level", "trial", "seed", "mean_abs_error_code", "flip_rate"])

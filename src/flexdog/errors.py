@@ -1,6 +1,9 @@
-"""Exception types shared across the simulator, and the numeric range check."""
+"""Exception types shared across the simulator, the numeric range check and
+the overflow-free mean."""
 
 import math
+
+import numpy as np
 
 
 class ConfigurationError(ValueError):
@@ -42,3 +45,11 @@ def check_range(name: str, value, *, above=None, at_least=None, at_most=None):
     bounds = "".join(f" and {op} {bound}" for op, bound in
                      ((">", above), (">=", at_least), ("<=", at_most)) if bound is not None)
     raise InvalidParameterError(f"{name} must be finite{bounds}, got {value}")
+
+
+def scaled_stat(stat, values, **kwargs):
+    """``stat(values, **kwargs)`` (np.mean or np.std) of values scaled by a power
+    of two to a peak below 1, scaled back: the same bits, but the sum and squares
+    stay finite when the values near the largest float."""
+    exponent = math.frexp(float(np.max(values)))[1]
+    return float(np.ldexp(stat(np.ldexp(values, -exponent), **kwargs), exponent))

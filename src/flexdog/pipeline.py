@@ -27,7 +27,8 @@ from .cell import CellParams, ProgrammedKernel, cell_factors, program_kernel
 # Not called here; kept importable from this module because the benchmark's
 # tracer binds flexdog.pipeline.cell_response as a boundary.
 from .cell import cell_response  # noqa: F401
-from .errors import ConfigurationError, DimensionError, InvalidParameterError, check_range
+from .errors import (ConfigurationError, DimensionError, InvalidParameterError, check_range,
+                     scaled_stat)
 from .perf import PerfSpec, SimReport, build_report
 
 DIST_TRUNCNORM = "normal-truncated"
@@ -444,17 +445,13 @@ def monte_carlo(
         # each trial one contiguous row: the per-frame summation order of err[k].mean()
         maes[trials.start:trials.stop] = err.reshape(len(trials), -1).mean(axis=1)
         flips[trials.start:trials.stop] = (edge_map(codes) != nominal_edges).mean(axis=(1, 2))
-    # the MAEs scaled by a power of two to a peak below 1 give the same bits,
-    # but their sum and squares stay finite when the MAEs near the largest float
-    exponent = math.frexp(float(maes.max()))[1]
-    scaled = np.ldexp(maes, -exponent)
     return MonteCarloSummary(
         n_trials=n_trials,
         base_seed=base_seed,
         per_trial_mae=maes,
         per_trial_flip_rate=flips,
-        mean_mae=float(np.ldexp(scaled.mean(), exponent)),
-        std_mae=float(np.ldexp(scaled.std(ddof=1), exponent)) if n_trials > 1 else 0.0,
+        mean_mae=scaled_stat(np.mean, maes),
+        std_mae=scaled_stat(np.std, maes, ddof=1) if n_trials > 1 else 0.0,
         max_mae=float(maes.max()),
         mean_flip_rate=float(flips.mean()),
     )

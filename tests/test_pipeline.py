@@ -66,7 +66,8 @@ def normal_sizes(monkeypatch):
             return getattr(self.rng, name)
 
         def standard_normal(self, size=None, out=None):
-            sizes.append(math.prod(np.shape(out if out is not None else size)))  # () counts 1
+            sizes.append(math.prod(np.shape(out)) if out is not None
+                         else 1 if size is None else math.prod(np.atleast_1d(size)))
             return self.rng.standard_normal(size, out=out)
 
     monkeypatch.setattr(np.random, "default_rng", Recording)
@@ -185,11 +186,24 @@ class TestVariation:
         # one call per trial covers gamma, gain and the image; the nominal pass draws none
         assert [n for n in normal_sizes if n >= 28 * 28] == [2 * K1.weights.size + 28 * 28] * 2
 
+    def test_normal_sizes_counts_the_normals_of_every_call_form(self, normal_sizes):
+        rng = np.random.default_rng(0)
+        rng.standard_normal()
+        rng.standard_normal(3072)
+        rng.standard_normal((64, 48))
+        rng.standard_normal(out=np.empty((2, 5)))
+        assert normal_sizes == [1, 3072, 64 * 48, 10]
+
     def test_draws_after_the_last_nonzero_sigma_are_skipped(self, normal_sizes):
         for seed in (5, *TAIL_SEEDS):
             normal_sizes.clear()
+            reference_draw(VariationModel(0.1), (3, 3), (8, 8), seed)
+            n = len(normal_sizes) - 1  # the reference's tail-stream draws
+            # 755 and 1312 hold a tail among their 9 gamma normals, 5 and 384 none
+            assert normal_sizes == [9] + [1] * n and (n > 0) == (seed in (755, 1312))
+            normal_sizes.clear()
             skipped = draw_variation(VariationModel(0.1), (3, 3), (8, 8), seed)
-            assert normal_sizes[0] == 9 and set(normal_sizes[1:]) <= {1}  # gamma, then its tails
+            assert normal_sizes == [9] + [1] * n  # gamma, then a tail stream only for a tail
             drawn = draw_variation(VariationModel(0.1, 0.2, 0.05), (3, 3), (8, 8), seed)
             assert np.array_equal(skipped.gamma_mult, drawn.gamma_mult)
             assert np.all(skipped.gain_mult == 1.0) and np.all(skipped.sensor_mult == 1.0)
