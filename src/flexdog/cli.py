@@ -3,8 +3,9 @@
 Subcommands: run (single pipeline pass + artifacts), montecarlo (variation
 sweep), deviation (cell I-V deviation sweep), perf (power/runtime/energy
 table).  Settings resolve in priority order: command line > config file
-(flat key=value) > built-in defaults.  Exit codes: 0 success, 1 I/O,
-2 configuration, 3 internal error.
+(flat key=value) > built-in defaults.  Each subcommand computes, checks what
+it prints, writes every file through ``write_outputs``, then prints.  Exit
+codes: 0 success, 1 I/O, 2 configuration, 3 internal error.
 """
 
 from __future__ import annotations
@@ -170,6 +171,10 @@ def resolve_settings(args) -> dict:
             check_range(name.replace("_", "-"), settings[name])
     check_range("threshold", settings["threshold"], at_least=0.0, at_most=1.0)
     check_range("sigma-ratio", settings["sigma_ratio"], above=1.0)
+    check_range("seed", settings["seed"], at_least=0)  # numpy's generators take no negative seed
+    # the dataclasses check the rest, the cell at --gamma: perf never opens --calibrate
+    build_analog_config(settings, settings["gamma"])
+    build_perf_spec(settings)
     return settings
 
 
@@ -191,21 +196,18 @@ def _add_common_options(p: argparse.ArgumentParser) -> None:
                                            help=setting.help, **kind)
 
 
-def build_cell_params(s: dict) -> CellParams:
-    gamma = s["gamma"]
-    if s["calibrate"]:
-        gamma = fit_gamma_from_file(s["calibrate"])
-    return CellParams(
-        gamma=gamma,
-        i_in_nominal=s["i_in"],
-        model_kind=s["model"],
-        sigmoid=SigmoidProductParams(s["steepness"], s["half_separation"]),
-    )
+def fitted_gamma(s: dict) -> float:
+    return fit_gamma_from_file(s["calibrate"]) if s["calibrate"] else s["gamma"]
 
 
-def build_analog_config(s: dict) -> AnalogConfig:
+def build_analog_config(s: dict, gamma: float) -> AnalogConfig:
     return AnalogConfig(
-        cell_params=build_cell_params(s),
+        cell_params=CellParams(
+            gamma=gamma,
+            i_in_nominal=s["i_in"],
+            model_kind=s["model"],
+            sigmoid=SigmoidProductParams(s["steepness"], s["half_separation"]),
+        ),
         variation=VariationModel(
             gamma_rel_sigma=s["variation_gamma"],
             gain_rel_sigma=s["variation_gain"],
@@ -251,12 +253,6 @@ def load_input(s: dict) -> IntensityImage:
     return image
 
 
-def output_dir(s: dict) -> Path:
-    out = Path(s["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # the accounting figures as printed: each one's unit and factor from SI
 PRINTED_UNITS = {"power_w": ("uW", 1e6), "runtime_s": ("us", 1e6), "energy_j": ("nJ", 1e9),
                  "dog_runtime_s": ("us", 1e6), "dog_energy_j": ("nJ", 1e9)}
@@ -288,27 +284,41 @@ def write_json(path: Path, s: dict, **sections) -> None:
         f.write(text + "\n")
 
 
+def write_outputs(s: dict, report: str, sections: dict, images=(), csv_rows=()) -> Path:
+    """Write every file of a subcommand into --out-dir, which it makes: each
+    ``(stem, gray)`` image as stem.pgm, the CSV rows (header first) if there
+    are any as <report>.csv, then <report>.json, its ``sections`` and an
+    ``artifacts`` map of every file written, itself included.  Subcommands
+    print only once this returns, so a failed write leaves stdout empty."""
+    out = Path(s["out_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    artifacts = {}
+    for stem, gray in images:
+        artifacts[stem] = str(out / f"{stem}.pgm")
+        write_pgm(artifacts[stem], gray)
+    if csv_rows:
+        artifacts["csv"] = str(out / f"{report}.csv")
+        with open(artifacts["csv"], "w", newline="", encoding="utf-8") as f:
+            csv.writer(f).writerows(csv_rows)
+    artifacts["report"] = str(out / f"{report}.json")
+    write_json(Path(artifacts["report"]), s, **sections, artifacts=artifacts)
+    return out
+
+
 def cmd_run(args) -> int:
     s = resolve_settings(args)
     image = load_input(s)
     k1, k2 = build_kernels(s, image)
-    cfg = build_analog_config(s)
+    cfg = build_analog_config(s, fitted_gamma(s))
     codes, report = run_dog_pipeline(image, k1, k2, cfg, seed=s["seed"],
                                      perf_spec=build_perf_spec(s))
     shown = printed_figures(report.to_dict())
 
-    out = output_dir(s)
-    artifacts = {
-        "input": str(out / "input.pgm"),
-        "oracle_dog": str(out / "oracle_dog.pgm"),
-        "analog_dog": str(out / "analog_dog.pgm"),
-        "report": str(out / "report.json"),
-    }
-    write_pgm(artifacts["input"], intensity_to_gray(image))
-    write_pgm(artifacts["oracle_dog"], codes_to_gray(np.rint(codes.oracle), s["bits"]))
-    write_pgm(artifacts["analog_dog"], codes_to_gray(codes.codes, s["bits"]))
-    write_json(Path(artifacts["report"]), s, sim_report=report.to_dict(), artifacts=artifacts)
-
+    out = write_outputs(s, "report", {"sim_report": report.to_dict()}, images=[
+        ("input", intensity_to_gray(image)),
+        ("oracle_dog", codes_to_gray(np.rint(codes.oracle), s["bits"])),
+        ("analog_dog", codes_to_gray(codes.codes, s["bits"])),
+    ])
     print(f"power      {shown['power_w']:.6g} uW")
     print(f"runtime    {shown['runtime_s']:.6g} us per convolution")
     print(f"energy     {shown['energy_j']:.6g} nJ per convolution")
@@ -330,19 +340,17 @@ def cmd_montecarlo(args) -> int:
     if args.trials < 1:
         raise ConfigurationError("need at least one trial")
     sweep_key = f"variation_{args.sweep_param}"
-    levels = parse_levels(args.levels) if args.levels else [s[sweep_key]]
+    levels = parse_levels(args.levels) if args.levels is not None else [s[sweep_key]]
     image = load_input(s)
     k1, k2 = build_kernels(s, image)
-    build_perf_spec(s)  # validates the accounting settings; the sweep reports no perf figures
+    gamma = fitted_gamma(s)  # once per sweep: no level changes the cell
 
-    out = output_dir(s)
-    csv_path = out / "montecarlo.csv"
-    rows = []
+    rows = [["level", "trial", "seed", "mean_abs_error_code", "flip_rate"]]
     aggregates = []
     for level in levels:
         level_settings = dict(s)
         level_settings[sweep_key] = level
-        cfg = build_analog_config(level_settings)
+        cfg = build_analog_config(level_settings, gamma)
         summary = monte_carlo(image, k1, k2, cfg, args.trials, s["seed"])
         for t in range(args.trials):
             rows.append([level, t, s["seed"] + t,
@@ -354,13 +362,9 @@ def cmd_montecarlo(args) -> int:
             "max_mae": summary.max_mae,
             "mean_flip_rate": summary.mean_flip_rate,
         })
-    with open(csv_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["level", "trial", "seed", "mean_abs_error_code", "flip_rate"])
-        writer.writerows(rows)
 
-    write_json(out / "montecarlo.json", s, sweep_param=args.sweep_param, trials=args.trials,
-               levels=aggregates, artifacts={"csv": str(csv_path)})
+    write_outputs(s, "montecarlo", {"sweep_param": args.sweep_param, "trials": args.trials,
+                                    "levels": aggregates}, csv_rows=rows)
     for agg in aggregates:
         print(f"level {agg['level']:g}: MAE {agg['mean_mae']:.4f} +- {agg['std_mae']:.4f}, "
               f"flip rate {agg['mean_flip_rate']:.4f}")
@@ -369,22 +373,17 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_deviation(args) -> int:
     s = resolve_settings(args)
-    params = build_cell_params(s)
+    params = build_analog_config(s, fitted_gamma(s)).cell_params
     dv, i_out, ref = sweep_curves(params, args.sweep_lo, args.sweep_hi, args.points,
                                   args.reference)
     report = deviation_report(args.sweep_lo, args.sweep_hi, args.reference, dv, i_out, ref)
     avg_na, max_na = (check_range(f"deviation {a} A in nA", a * 1e9)  # checked before any output
                       for a in (report.avg_abs_deviation, report.max_abs_deviation))
 
-    out = output_dir(s)
-    csv_path = out / "deviation.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["dv_v", "i_out_a", "reference_a", "abs_deviation_a"])
-        for row in zip(dv, i_out, ref, np.abs(i_out - ref)):
-            writer.writerow([f"{x:.12e}" for x in row])
+    rows = [["dv_v", "i_out_a", "reference_a", "abs_deviation_a"]]
+    rows += [[f"{x:.12e}" for x in row] for row in zip(dv, i_out, ref, np.abs(i_out - ref))]
 
-    write_json(out / "deviation.json", s, deviation={
+    write_outputs(s, "deviation", {"deviation": {
         "sweep_lo_v": report.sweep_lo,
         "sweep_hi_v": report.sweep_hi,
         "n_points": report.n_points,
@@ -392,8 +391,7 @@ def cmd_deviation(args) -> int:
         "avg_abs_deviation_a": report.avg_abs_deviation,
         "max_abs_deviation_a": report.max_abs_deviation,
         "extrapolated": report.extrapolated,
-    }, artifacts={"csv": str(csv_path)})
-
+    }}, csv_rows=rows)
     print(f"average deviation {avg_na:.4f} nA")
     print(f"max deviation     {max_na:.4f} nA")
     if report.extrapolated:
@@ -406,15 +404,13 @@ def cmd_perf(args) -> int:
     fig = perf_figures(args.height, args.width, build_perf_spec(s))
     shown = printed_figures(fig)
 
+    write_outputs(s, "perf", {"perf": {"width": args.width, "height": args.height, **fig}})
     print(f"{'power':<22}{shown['power_w']:.6g} uW")
     print(f"{'runtime/convolution':<22}{shown['runtime_s']:.6g} us")
     print(f"{'energy/convolution':<22}{shown['energy_j']:.6g} nJ")
     print(f"{'full-DoG runtime':<22}{shown['dog_runtime_s']:.6g} us (2x extrapolation)")
     print(f"{'full-DoG energy':<22}{shown['dog_energy_j']:.6g} nJ (2x extrapolation)")
     print(f"{'realtime (< 42 ms)':<22}{fig['realtime']}")
-
-    write_json(output_dir(s) / "perf.json", s,
-               perf={"width": args.width, "height": args.height, **fig})
     return EXIT_OK
 
 

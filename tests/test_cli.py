@@ -21,6 +21,15 @@ BAD_HEADER_FILES = {
 }
 
 
+# each subcommand, small, and the report it writes
+SUBCOMMANDS = {
+    "run": (("run", "--input", "pattern:step"), "report.json"),
+    "montecarlo": (("montecarlo", "--input", "pattern:step", "--trials", "2"), "montecarlo.json"),
+    "deviation": (("deviation", "--points", "21"), "deviation.json"),
+    "perf": (("perf", "28", "28"), "perf.json"),
+}
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -225,8 +234,9 @@ class TestMonteCarlo:
         maes = {lvl["level"]: lvl["mean_mae"] for lvl in doc["levels"]}
         assert maes[0.20] > maes[0.05]
 
-    def test_malformed_levels_is_config_error(self, tmp_path, capsys):
-        assert run_cli("montecarlo", "--input", "pattern:step", "--levels", "a,b",
+    @pytest.mark.parametrize("levels", ["a,b", ""], ids=["letters", "empty"])
+    def test_malformed_levels_is_config_error(self, tmp_path, capsys, levels):
+        assert run_cli("montecarlo", "--input", "pattern:step", "--levels", levels,
                        "--out-dir", str(tmp_path / "out")) == EXIT_CONFIG
         assert "--levels" in capsys.readouterr().err
 
@@ -256,6 +266,17 @@ class TestMonteCarlo:
         doc = load_report(out, "montecarlo.json")
         assert [lvl["level"] for lvl in doc["levels"]] == [0.2]
         assert doc["levels"][0]["std_mae"] > 0.0
+
+    def test_sweep_fits_the_calibration_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "sweep.txt"
+        path.write_text("".join(f"{dv} {5e-8 * np.exp(-dv * dv)}\n" for dv in (0.0, 0.5, 1.0)))
+        calls = []
+        fit = cli.fit_gamma_from_file
+        monkeypatch.setattr(cli, "fit_gamma_from_file", lambda p: calls.append(p) or fit(p))
+        assert run_cli("montecarlo", "--input", "pattern:step", "--trials", "2",
+                       "--levels", "0.0,0.01,0.02", "--calibrate", str(path),
+                       "--out-dir", str(tmp_path / "out")) == EXIT_OK
+        assert len(calls) == 1
 
     def test_csv_constant_column_count(self, tmp_path):
         out = tmp_path / "out"
@@ -421,6 +442,19 @@ class TestExitCodes:
         want = EXIT_IO if error is errors.FormatError else EXIT_CONFIG
         assert run_cli("perf", "28", "28", "--out-dir", str(tmp_path / "out")) == want
 
+    @pytest.mark.parametrize("argv", [
+        "deviation --bits 64", "perf 28 28 --bits 64", "perf 28 28 --vref -1",
+        "deviation --seed -1", "perf 28 28 --seed -1", "deviation --transimpedance 0",
+        "deviation --supply 0", "deviation --parallelism 0", "deviation --half-width 0",
+        "perf 28 28 --gamma 0", "perf 28 28 --distribution lognormal --variation-gamma 500",
+        # the swept level replaces the sigma in the chain, but not in the report
+        "montecarlo --trials 1 --levels 0.1 --distribution lognormal --variation-gamma 500",
+    ])
+    def test_setting_the_subcommand_does_not_read_is_config_error(self, tmp_path, argv):
+        # the report records every setting, so each is checked, read or not
+        out = tmp_path / "out"
+        assert run_cli(*argv.split(), "--out-dir", str(out)) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_internal_index_error_is_internal(self, tmp_path, monkeypatch):
         # an out-of-range index inside the program is a fault, not a bad setting
@@ -430,6 +464,25 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "codes_to_gray", out_of_range)
         assert run_cli("run", "--input", "pattern:step",
                        "--out-dir", str(tmp_path / "out")) == EXIT_INTERNAL
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_unwritable_out_dir_prints_nothing(self, tmp_path, capsys, command):
+        # every file is written before anything is printed
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_cli(*SUBCOMMANDS[command][0], "--out-dir", str(blocker)) == EXIT_IO
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_report_lists_every_file_written(self, tmp_path, command):
+        argv, report = SUBCOMMANDS[command]
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out-dir", str(out)) == EXIT_OK
+        artifacts = load_report(out, report)["artifacts"]
+        assert sorted(artifacts.values()) == sorted(str(path) for path in out.iterdir())
+        assert artifacts["report"] == str(out / report)
 
 
 def run_python(code):
